@@ -146,6 +146,11 @@ type replica struct {
 	// confirms the role. Reads still serve — the data is no worse than a
 	// secondary's.
 	unconfirmed bool
+	// grantGen is the generation of the add_shard grant that installed the
+	// replica (0 for ungenerationed grants). A SyncAssignment computed at
+	// an older generation must not undo it: jitter can deliver a newer
+	// migration's add_shard before the rejoin sync that predates it.
+	grantGen int64
 }
 
 // tombstoneTTL is how long a server keeps forwarding requests for a shard
@@ -419,6 +424,7 @@ func (s *Server) AddShardGen(id shard.ID, role shard.Role, gen int64) {
 		return
 	}
 	s.addShard(id, role, true)
+	s.replicas[id].grantGen = gen
 }
 
 func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool) {
@@ -618,7 +624,9 @@ func (s *Server) ResumeShardGen(id shard.ID, gen int64) {
 // protect lists shards that an in-flight migration is handing to this server:
 // the authoritative slots still name the old owner until the migration
 // commits, so such replicas are neither dropped nor cold-added here — the
-// migration's own add_shard grant settles them.
+// migration's own add_shard grant settles them. Likewise a replica granted
+// at a newer generation than the sync is left alone: the grant postdates the
+// view the sync was computed from.
 func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.ID]bool, gen int64) {
 	if gen > 0 && gen <= s.fenceGen {
 		s.loop.Metrics().Counter("appserver_stale_grants_total",
@@ -637,7 +645,7 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 	for _, sid := range ids {
 		id := shard.ID(sid)
 		r := s.replicas[id]
-		if r.phase != PhaseActive {
+		if r.phase != PhaseActive || (gen > 0 && r.grantGen > gen) {
 			continue
 		}
 		role, ok := want[id]

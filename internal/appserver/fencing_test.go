@@ -114,3 +114,26 @@ func TestReconnectedSessionDisarmsStaleFence(t *testing.T) {
 		t.Fatalf("write after reconnect rejected: %+v", resp)
 	}
 }
+
+// TestSyncAssignmentKeepsNewerGrant pins the rejoin race of a rolling
+// upgrade: the orchestrator computes a rejoined server's wanted set at
+// generation g, but a migration's add_shard at g+1 can overtake that sync in
+// flight. The sync predates the grant, so it must not drop the replica; a
+// replica granted before the sync that the sync omits is still dropped.
+func TestSyncAssignmentKeepsNewerGrant(t *testing.T) {
+	_, _, store, srv := fencedHost(t)
+	old := store.NextEpoch()
+	srv.AddShardGen("sh-old", shard.RoleSecondary, old)
+	g := store.NextEpoch()
+	srv.AddShardGen("sh-new", shard.RoleSecondary, store.NextEpoch())
+	srv.SyncAssignment(map[shard.ID]shard.Role{"sh1": shard.RolePrimary}, nil, g)
+	if !srv.HoldsActive("sh-new") {
+		t.Fatal("sync at g dropped a replica granted at g+1")
+	}
+	if _, ok := srv.Shards()["sh-old"]; ok {
+		t.Fatal("sync kept a replica granted before it that it does not want")
+	}
+	if !srv.HoldsActive("sh1") {
+		t.Fatal("sync dropped a wanted replica")
+	}
+}
