@@ -323,8 +323,8 @@ func checkSimBaseline(r *experiments.Report, path string) error {
 
 // writeBenchControl writes the controlscale experiment's structured
 // control-plane benchmark record (BENCH_controlplane.json): one entry per
-// scale point with the mini-SM pool size, full-vs-delta publication cost and
-// bytes per publish, and simulated map-convergence latency.
+// scale point with the mini-SM pool size, delta publication cost and bytes
+// per publish, and simulated map-convergence latency.
 func writeBenchControl(r *experiments.Report, path string) error {
 	if r.Extra == nil {
 		return fmt.Errorf("controlscale report carries no benchmark record")

@@ -81,48 +81,38 @@ func (r *ShardRouter) PartitionApp(p int) shard.AppID {
 }
 
 // PublisherStats accumulate one partition publisher's publication costs —
-// the raw material for BENCH_controlplane.json's full-vs-delta comparison.
+// the raw material for BENCH_controlplane.json.
 type PublisherStats struct {
-	FullPublishes  int64
-	DeltaPublishes int64
-	// FullBytes / DeltaBytes are the approximate wire sizes published on
-	// each path, under the same accounting (shard.Map/Delta ApproxBytes) so
-	// the ratio is meaningful.
-	FullBytes  int64
+	// Deltas counts flushes published as deltas (every flush after the
+	// bootstrap).
+	Deltas int64
+	// DeltaBytes is their approximate wire size (shard.Delta.ApproxBytes).
 	DeltaBytes int64
 	// ChangedEntries counts staged edits across all flushes.
 	ChangedEntries int64
 }
 
-// Bytes is the total approximate wire size published on both paths.
-func (s PublisherStats) Bytes() int64 { return s.FullBytes + s.DeltaBytes }
-
-// PartitionPublisher maintains one partition's authoritative shard map and
-// publishes updates to discovery — as O(changed) deltas in delta mode, or as
-// full snapshots (the pre-delta control plane) for comparison. Edits are
-// staged between flushes; Flush stamps a new version and publishes exactly
-// one update, so steady-state publication cost is proportional to churn, not
-// partition size. Buffers (the staged delta and the full-publish scratch
-// map) ping-pong through discovery's recycling contracts, so a warm
-// publisher allocates nothing per flush.
+// PartitionPublisher publishes one partition's shard map to discovery.
+// Edits are staged between flushes; Flush stamps a new version and
+// publishes exactly one update, so steady-state publication cost is
+// proportional to churn, not partition size. The first flush publishes the
+// initial map as the bootstrap snapshot; every later flush publishes the
+// staged delta. The publisher keeps no copy of the map: discovery's current
+// map is the authoritative one.
 type PartitionPublisher struct {
-	disc  *discovery.Service
-	app   shard.AppID
-	delta bool
-
-	cur     *shard.Map // authoritative map, version = last flushed
-	scratch *shard.Map // full-mode ping-pong buffer
+	disc    *discovery.Service
+	app     shard.AppID
+	initial *shard.Map // the bootstrap map, until the first Flush publishes it
+	version int64      // last flushed version
 	staged  *shard.Delta
-	dirty   int // staged edits since the last flush
 
 	Stats PublisherStats
 }
 
 // NewPartitionPublisher wraps one partition's publication stream. initial is
-// adopted (not copied) as the authoritative map; its version must be 0 — the
-// first Flush publishes version 1 as a full snapshot (discovery requires a
-// full base before deltas).
-func NewPartitionPublisher(disc *discovery.Service, app shard.AppID, initial *shard.Map, deltaMode bool) *PartitionPublisher {
+// adopted (not copied) as the bootstrap map; its version must be 0 — the
+// first Flush publishes it as version 1.
+func NewPartitionPublisher(disc *discovery.Service, app shard.AppID, initial *shard.Map) *PartitionPublisher {
 	if initial == nil || initial.App != app {
 		panic("controlplane: NewPartitionPublisher needs an initial map for app")
 	}
@@ -130,89 +120,54 @@ func NewPartitionPublisher(disc *discovery.Service, app shard.AppID, initial *sh
 		panic("controlplane: initial map must be unversioned (Flush assigns versions)")
 	}
 	return &PartitionPublisher{
-		disc:   disc,
-		app:    app,
-		delta:  deltaMode,
-		cur:    initial,
-		staged: shard.NewDelta(app),
+		disc:    disc,
+		app:     app,
+		initial: initial,
+		staged:  shard.NewDelta(app),
 	}
 }
 
-// Map exposes the authoritative map (read-only to callers).
-func (p *PartitionPublisher) Map() *shard.Map { return p.cur }
+// Version returns the last flushed map version (0 before the first Flush).
+func (p *PartitionPublisher) Version() int64 { return p.version }
 
 // SetOne stages a single-replica reassignment of shard s — the bulk of
-// steady-state control-plane churn — mirroring it into the authoritative map.
+// steady-state control-plane churn.
 func (p *PartitionPublisher) SetOne(s shard.ID, server shard.ServerID, role shard.Role) {
 	p.staged.SetOne(s, server, role)
-	e := p.cur.Entries[s]
-	if cap(e) < 1 {
-		e = make([]shard.Assignment, 1, 4)
-	} else {
-		e = e[:1]
-	}
-	e[0] = shard.Assignment{Server: server, Role: role}
-	p.cur.Entries[s] = e
-	p.dirty++
 }
 
-// Set stages shard s's full new assignment list.
+// Set stages shard s's full new assignment list (copied).
 func (p *PartitionPublisher) Set(s shard.ID, as []shard.Assignment) {
 	p.staged.Set(s, as)
-	p.cur.Entries[s] = append(p.cur.Entries[s][:0], as...)
-	p.dirty++
 }
 
 // Remove stages the removal of shard s.
 func (p *PartitionPublisher) Remove(s shard.ID) {
 	p.staged.Remove(s)
-	delete(p.cur.Entries, s)
-	p.dirty++
 }
 
-// Dirty returns the number of edits staged since the last flush.
-func (p *PartitionPublisher) Dirty() int { return p.dirty }
-
 // Flush publishes the staged edits as one new map version and clears the
-// staging buffer. The first flush (and every flush in full mode) publishes a
-// full snapshot; later delta-mode flushes publish only the staged delta. A
-// flush with nothing staged still publishes (a heartbeat republication),
-// which in delta mode costs O(1).
+// staging buffer. A flush with nothing staged still publishes (a heartbeat
+// republication) at O(1) cost.
 func (p *PartitionPublisher) Flush() {
-	from := p.cur.Version
-	p.cur.Version++
-	p.Stats.ChangedEntries += int64(p.staged.Len())
-	if p.delta && from > 0 {
-		p.staged.App, p.staged.FromVersion, p.staged.ToVersion, p.staged.Gen = p.app, from, p.cur.Version, 0
-		p.Stats.DeltaPublishes++
-		p.Stats.DeltaBytes += p.staged.ApproxBytes()
-		next := p.disc.PublishDelta(p.staged)
-		if next == nil {
-			next = shard.NewDelta(p.app)
+	p.version++
+	d := p.staged
+	d.App, d.FromVersion, d.ToVersion, d.Gen = p.app, p.version-1, p.version, 0
+	p.Stats.ChangedEntries += int64(d.Len())
+	if p.initial != nil {
+		// Bootstrap: fold edits staged before the first flush into the
+		// initial map and publish it as the base later deltas chain onto.
+		if err := p.initial.ApplyDelta(d); err != nil {
+			panic(err)
 		}
-		p.staged = next
-	} else {
-		p.Stats.FullPublishes++
-		p.Stats.FullBytes += p.cur.ApproxBytes()
-		if p.delta {
-			// Delta mode publishes a full snapshot only as the base; the
-			// clone keeps cur private so later deltas can mutate it freely.
-			p.disc.Publish(p.cur)
-		} else {
-			if p.scratch == nil {
-				p.scratch = shard.NewMap(p.app)
-			}
-			p.scratch = p.disc.PublishScratch(p.cur, p.scratch)
-			if p.scratch == nil {
-				// First publish: discovery adopted the scratch as current and
-				// had no previous map to return; reseed so the ping-pong
-				// starts on the next flush.
-				p.scratch = shard.NewMap(p.app)
-			}
-		}
+		p.disc.Publish(p.initial)
+		p.initial = nil
+		d.Reset(p.app, 0, 0, 0)
+		return
 	}
-	p.staged.Reset(p.app, 0, 0, 0)
-	p.dirty = 0
+	p.Stats.Deltas++
+	p.Stats.DeltaBytes += d.ApproxBytes()
+	p.staged = p.disc.PublishDelta(d).Reset(p.app, 0, 0, 0)
 }
 
 // FlushWave schedules one batched cross-partition publication wave on the

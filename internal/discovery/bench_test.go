@@ -16,7 +16,7 @@ func BenchmarkPublishFanout(b *testing.B) {
 	svc := NewService(loop, FixedDelay(time.Millisecond))
 	delivered := 0
 	for i := 0; i < 100; i++ {
-		svc.Subscribe("app", func(*shard.Map) { delivered++ })
+		subscribe(svc, func(int64) { delivered++ })
 	}
 	m := shard.NewMap("app")
 	for i := 0; i < 1000; i++ {
@@ -45,30 +45,28 @@ func benchMap(n int) *shard.Map {
 	return m
 }
 
-// publishSizes are the map sizes the full-vs-delta comparison runs at; the
-// 1M point is the simscale baseline where a full-copy publish costs ~1.1 s.
+// publishSizes are the map sizes the publish benchmarks run at.
 var publishSizes = []int{10_000, 120_000, 1_000_000}
 
-// BenchmarkPublishFullScratch measures the pre-delta steady state: a full
-// republish through PublishScratch, whose cost is the O(shards) CloneInto
-// copy even when nothing changed but churn touched a handful of entries.
-func BenchmarkPublishFullScratch(b *testing.B) {
+// BenchmarkPublishDiff measures the orchestrator's publish: a freshly built
+// full map that discovery diffs against its current map, here with one
+// changed entry. The cost is the O(shards) diff scan; nothing is copied.
+func BenchmarkPublishDiff(b *testing.B) {
 	for _, n := range publishSizes {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			loop := sim.NewLoop(1)
 			svc := NewService(loop, FixedDelay(time.Millisecond))
 			delivered := 0
-			svc.Subscribe("app", func(*shard.Map) { delivered++ })
+			subscribe(svc, func(int64) { delivered++ })
 			m := benchMap(n)
 			svc.Publish(m)
 			loop.RunFor(10 * time.Millisecond)
-			scratch := shard.NewMap("app")
+			m = m.Clone()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Version++
-				m.Entries["s0000000"] = []shard.Assignment{
-					{Server: shard.ServerID(fmt.Sprintf("srv%05d", i%512)), Role: shard.RolePrimary}}
-				scratch = svc.PublishScratch(m, scratch)
+				m.Entries["s0000000"] = []shard.Assignment{{Server: shard.ServerID(fmt.Sprintf("srv%05d", i%512)), Role: shard.RolePrimary}}
+				svc.Publish(m)
 				loop.RunFor(10 * time.Millisecond)
 			}
 			b.StopTimer()
@@ -89,7 +87,7 @@ func BenchmarkPublishDelta(b *testing.B) {
 			svc := NewService(loop, FixedDelay(time.Millisecond))
 			f := &deltaFollower{}
 			f.m = shard.NewMap("app")
-			svc.SubscribeDelta("app", f.onFull, func(d *shard.Delta) {
+			svc.Subscribe("app", f.onSnapshot, func(d *shard.Delta) {
 				if err := f.m.ApplyDelta(d); err != nil {
 					b.Fatal(err)
 				}
@@ -107,9 +105,6 @@ func BenchmarkPublishDelta(b *testing.B) {
 				version++
 				d = svc.PublishDelta(d)
 				loop.RunFor(10 * time.Millisecond)
-				if d == nil {
-					d = shard.NewDelta("app")
-				}
 			}
 			b.StopTimer()
 			if f.deltas == 0 {
@@ -119,43 +114,40 @@ func BenchmarkPublishDelta(b *testing.B) {
 	}
 }
 
-// TestPublishDeltaSteadyStateAllocs pins the pooled steady state: once the
-// delta ping-pong and delivery records have warmed up, a publish-and-deliver
-// delta cycle allocates nothing.
+// TestPublishDeltaSteadyStateAllocs pins the publish-and-deliver cost once
+// the delta buffers and delivery records have warmed up: a publish
+// allocates exactly one list per changed entry (staging), and delivering it
+// allocates nothing, however many subscribers apply it.
 func TestPublishDeltaSteadyStateAllocs(t *testing.T) {
-	loop := sim.NewLoop(1)
-	svc := NewService(loop, FixedDelay(time.Millisecond))
-	follower := shard.NewMap("app")
-	svc.SubscribeDelta("app",
-		func(m *shard.Map) { follower = m.CloneInto(follower) },
-		func(d *shard.Delta) {
-			if err := follower.ApplyDelta(d); err != nil {
-				t.Fatal(err)
-			}
-		})
-	m := benchMap(1000)
-	svc.Publish(m)
-	loop.RunFor(10 * time.Millisecond)
-	version := m.Version
-	d := shard.NewDelta("app")
-	// Warm up the ping-pong pair and the delivery freelist.
-	for i := 0; i < 3; i++ {
-		d.Reset("app", version, version+1, 0)
-		d.SetOne("s0000100", "srvX", shard.RolePrimary)
-		version++
-		if next := svc.PublishDelta(d); next != nil {
-			d = next
+	const changed = 4
+	for _, subs := range []int{2, 4} {
+		loop := sim.NewLoop(1)
+		svc := NewService(loop, FixedDelay(time.Millisecond))
+		for i := 0; i < subs; i++ {
+			f := &deltaFollower{applyNG: t}
+			svc.Subscribe("app", f.onSnapshot, f.onDelta)
 		}
+		m := benchMap(1000)
+		svc.Publish(m)
 		loop.RunFor(10 * time.Millisecond)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		d.Reset("app", version, version+1, 0)
-		d.SetOne("s0000100", "srvY", shard.RolePrimary)
-		version++
-		d = svc.PublishDelta(d)
-		loop.RunFor(10 * time.Millisecond)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state delta publish allocates %.1f/run, want 0", allocs)
+		version := m.Version
+		d := shard.NewDelta("app")
+		ids := []shard.ID{"s0000100", "s0000101", "s0000102", "s0000103"}
+		publish := func(srv shard.ServerID) {
+			d.Reset("app", version, version+1, 0)
+			for _, id := range ids[:changed] {
+				d.SetOne(id, srv, shard.RolePrimary)
+			}
+			version++
+			d = svc.PublishDelta(d)
+			loop.RunFor(10 * time.Millisecond)
+		}
+		for i := 0; i < 3; i++ { // warm the buffer pool and the delivery freelist
+			publish("srvX")
+		}
+		if allocs := testing.AllocsPerRun(100, func() { publish("srvY") }); allocs != changed {
+			t.Fatalf("%d subscribers: steady-state delta publish+deliver allocates %.1f/run, want %d (one list per changed entry)",
+				subs, allocs, changed)
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // deltaFollower is a test subscriber that maintains its own map the way a
-// routing client in delta mode does: full snapshots clone, deltas apply in
-// place.
+// routing client does: snapshots are copied into its table, deltas applied
+// to it in place.
 type deltaFollower struct {
 	m       *shard.Map
 	fulls   int
@@ -18,7 +18,7 @@ type deltaFollower struct {
 	applyNG *testing.T
 }
 
-func (f *deltaFollower) onFull(m *shard.Map) {
+func (f *deltaFollower) onSnapshot(m *shard.Map) {
 	f.m = m.CloneInto(f.m)
 	f.fulls++
 }
@@ -43,7 +43,7 @@ func TestPublishDeltaInOrderChaining(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
 	f := &deltaFollower{applyNG: t}
-	svc.SubscribeDelta("app", f.onFull, f.onDelta)
+	svc.Subscribe("app", f.onSnapshot, f.onDelta)
 	svc.Publish(mapV(1))
 	loop.RunFor(2 * time.Second)
 	if f.fulls != 1 || f.m.Version != 1 {
@@ -65,10 +65,8 @@ func TestPublishDeltaInOrderChaining(t *testing.T) {
 		cur.Entries["s1"][0].Server != "srv2" {
 		t.Fatalf("service current: %+v", cur)
 	}
-	// The first PublishDelta had no prior delta to recycle; later ones hand
-	// back the previously retained buffer.
-	if scratch == nil {
-		t.Fatal("no recycled delta buffer returned")
+	if scratch == nil || scratch.Len() != 0 {
+		t.Fatal("PublishDelta did not return an empty buffer to stage into")
 	}
 }
 
@@ -80,10 +78,10 @@ func TestPublishDeltaGapTriggersResync(t *testing.T) {
 
 	f := &deltaFollower{applyNG: t}
 	var statuses []string
-	svc.SetObserver(func(app shard.AppID, version int64, lag time.Duration, status string) {
+	svc.AddObserver(func(app shard.AppID, version int64, lag time.Duration, status string) {
 		statuses = append(statuses, status)
 	})
-	svc.SubscribeDelta("app", f.onFull, f.onDelta)
+	svc.Subscribe("app", f.onSnapshot, f.onDelta)
 	loop.RunFor(2 * time.Second) // catch-up at v1
 
 	// Two deltas published back-to-back: the follower receives 1→2 in order,
@@ -93,15 +91,13 @@ func TestPublishDeltaGapTriggersResync(t *testing.T) {
 	loop.RunFor(2 * time.Second)
 	d3 := stageDelta(nil, 3, 4, 0, shard.ServerID("b"))
 	d3.ToVersion = 4
-	// Force the service itself past v3 so the delta chains there but not at
-	// the follower: publish v3 as a full map with no propagation to f by
-	// cancelling... simpler: publish full v3, let it deliver, then make the
-	// follower stale by hand.
+	// Move the service to v3 with a full-map publish, let it deliver, then
+	// make the follower stale by hand.
 	m3 := mapV(3)
 	m3.Entries["s1"] = []shard.Assignment{{Server: shard.ServerID("c"), Role: shard.RolePrimary}}
 	svc.Publish(m3)
 	loop.RunFor(2 * time.Second)
-	// Follower is now at v3 via the full path. Rewind it to simulate a missed
+	// Follower is now at v3. Rewind it to simulate a missed
 	// version, then publish the 3→4 delta: lastSeen(2) != FromVersion(3).
 	f.m.Version = 2
 	subRewind(svc, "app", 2)
@@ -163,34 +159,21 @@ func TestPublishDeltaStaleAndGapDrops(t *testing.T) {
 	}
 }
 
-func TestPublishDeltaLegacySubscriberGetsFullMaps(t *testing.T) {
-	loop := sim.NewLoop(1)
-	svc := NewService(loop, FixedDelay(time.Second))
-	var got []int64
-	svc.Subscribe("app", func(m *shard.Map) { got = append(got, m.Version) })
-	svc.Publish(mapV(1))
-	loop.RunFor(2 * time.Second)
-	svc.PublishDelta(stageDelta(nil, 1, 2, 0, shard.ServerID("y")))
-	loop.RunFor(2 * time.Second)
-	if len(got) != 2 || got[1] != 2 {
-		t.Fatalf("legacy subscriber deliveries = %v, want [1 2]", got)
-	}
-}
-
 // TestPublishDeltaRNGParityWithFull pins the schedule-identity contract: a
-// run where the publisher uses deltas consumes exactly the same delay draws
-// as one using full maps, so every delivery lands at the same instant.
+// run where the publisher stages its own deltas consumes exactly the same
+// delay draws as one publishing full maps for discovery to diff, so every
+// delivery lands at the same instant.
 func TestPublishDeltaRNGParityWithFull(t *testing.T) {
 	run := func(useDelta bool) []time.Duration {
 		loop := sim.NewLoop(42)
 		svc := NewService(loop, nil) // DefaultDelay: real RNG draws
 		var at []time.Duration
 		for i := 0; i < 5; i++ {
-			svc.Subscribe("app", func(*shard.Map) { at = append(at, loop.Now()) })
+			subscribe(svc, func(int64) { at = append(at, loop.Now()) })
 		}
 		f := &deltaFollower{applyNG: t}
-		svc.SubscribeDelta("app", func(m *shard.Map) {
-			f.onFull(m)
+		svc.Subscribe("app", func(m *shard.Map) {
+			f.onSnapshot(m)
 			at = append(at, loop.Now())
 		}, func(d *shard.Delta) {
 			f.onDelta(d)
@@ -229,7 +212,7 @@ func TestPublishDeltaBatchFanout(t *testing.T) {
 	fs := make([]*deltaFollower, subs)
 	for i := range fs {
 		fs[i] = &deltaFollower{applyNG: t}
-		svc.SubscribeDelta("app", fs[i].onFull, fs[i].onDelta)
+		svc.Subscribe("app", fs[i].onSnapshot, fs[i].onDelta)
 	}
 	svc.Publish(mapV(1))
 	loop.RunFor(2 * time.Second)
@@ -266,9 +249,11 @@ func TestCurrentMetaAndCurrentInto(t *testing.T) {
 	if got != dst || got.Version != 3 || len(got.Entries) != 1 {
 		t.Fatalf("CurrentInto: %+v", got)
 	}
-	// Reusing dst must not alias service state.
-	got.Entries["s1"][0].Server = "mutated"
-	if svc.Current("app").Entries["s1"][0].Server == "mutated" {
-		t.Fatal("CurrentInto aliased the service's map")
+	// The copy's table is the caller's: editing it must not reach the
+	// service's map.
+	delete(got.Entries, "s1")
+	got.Entries["s2"] = []shard.Assignment{{Server: "x"}}
+	if cur := svc.Current("app"); len(cur.Entries) != 1 || cur.Entries["s1"] == nil {
+		t.Fatal("CurrentInto aliased the service's table")
 	}
 }

@@ -6,6 +6,12 @@
 // clients act on *eventually consistent, slightly stale* maps, which the
 // graceful migration protocol (§4.3) must tolerate without dropping
 // requests.
+//
+// A map travels as a versioned delta chain (the "numbered configurations"
+// of a replicated shard controller): the first publish of an application is
+// its bootstrap snapshot, every later publish is the delta from the previous
+// version, and a subscriber that cannot chain a delta onto the version it
+// holds resyncs from the current map instead.
 package discovery
 
 import (
@@ -43,18 +49,14 @@ func DefaultDelay() DelayFunc { return UniformDelay(500*time.Millisecond, 2*time
 
 // Subscription is one client's registration for an app's shard maps.
 type Subscription struct {
-	app shard.AppID
-	id  int // per-app subscriber index, for trace labels
-	fn  func(*shard.Map)
-	// deltaFn, when non-nil, receives in-order incremental updates instead
-	// of full snapshots (SubscribeDelta). fn still handles full snapshots:
-	// the initial catch-up and any resync after a missed version.
-	deltaFn func(*shard.Delta)
-	// rng drives this subscriber's propagation delays. Each subscriber owns
-	// a stream forked at Subscribe time: were delays drawn from one shared
-	// service RNG, adding or removing any subscriber would shift every other
-	// subscriber's delay sequence.
-	rng       *sim.RNG
+	onSnapshot func(*shard.Map)
+	onDelta    func(*shard.Delta)
+	// self is the one-member batch this subscriber's own deliveries (the
+	// start-up catch-up, and every publish under per-subscriber fan-out)
+	// use. Its RNG is forked at Subscribe time: were delays drawn from one
+	// shared service RNG, adding or removing any subscriber would shift
+	// every other subscriber's delay sequence.
+	self      subBatch
 	lastSeen  int64
 	cancelled bool
 }
@@ -62,23 +64,44 @@ type Subscription struct {
 // Cancel stops future deliveries.
 func (s *Subscription) Cancel() { s.cancelled = true }
 
-// subBatch groups consecutive subscribers that share one delivery event per
-// publication. Each batch owns a forked RNG for its propagation delays, so
-// batch membership changes never perturb other batches' delay streams.
+// subBatch groups subscribers that share one delivery event (and one
+// sampled propagation delay) per publication. Each batch owns a forked RNG,
+// so batch membership changes never perturb other batches' delay streams.
 type subBatch struct {
 	rng  *sim.RNG
 	subs []*Subscription
 }
 
 type appState struct {
+	// current is the authoritative map. Its table is the service's own and
+	// advances in place with every publish; its lists are shared with
+	// publishers, subscribers and deltas in flight.
 	current *shard.Map
 	pubAt   time.Duration // simulated time current was published
 	subs    []*Subscription
-	batches []*subBatch // populated only when fanoutBatch > 1
-	// inflight is the delta delivered by the most recent PublishDelta,
-	// retained until the next publish so in-flight deliveries can read it;
-	// it is then handed back to the publisher as a recycled buffer.
-	inflight *shard.Delta
+	batches []*subBatch
+}
+
+// publication is one published delta plus the number of scheduled
+// deliveries still reading it. When the last one fires, the delta buffer
+// becomes the service's spare for a later publish to restage.
+type publication struct {
+	d       *shard.Delta
+	pending int
+	next    *publication
+}
+
+// delivery is the pooled state of one scheduled delivery event to one
+// subscriber batch, recycled when it fires. pub is nil for a catch-up,
+// which delivers the current map.
+type delivery struct {
+	s     *Service
+	st    *appState
+	batch *subBatch
+	pub   *publication
+	pubAt time.Duration
+	sp    trace.SpanID
+	next  *delivery
 }
 
 // Service is the discovery system. One instance serves all applications.
@@ -90,39 +113,33 @@ type Service struct {
 
 	// fanoutBatch is the number of subscribers sharing one delivery event
 	// (and one sampled propagation delay) per publication. The default of 1
-	// is the exact legacy behavior: every subscriber draws its own delay
-	// from its own RNG stream. Large-scale experiments raise it so a
-	// publish schedules O(subs/batch) events instead of O(subs).
+	// gives every subscriber its own delay from its own RNG stream.
+	// Large-scale experiments raise it so a publish schedules O(subs/batch)
+	// events instead of O(subs).
 	fanoutBatch int
 
-	// freeDeliveries / freeBatchDeliveries recycle the per-delivery records
-	// that ride the event loop's arg slot, keeping fan-out allocation-free.
-	freeDeliveries      *delivery
-	freeBatchDeliveries *batchDelivery
+	// Free lists recycling delivery and publication records, keeping
+	// fan-out allocation-free.
+	freeDeliveries   *delivery
+	freePublications *publication
+	// spare is the most recently released delta buffer. One suffices for a
+	// publisher whose deliveries complete between publishes; keeping more
+	// would pin the buffers of a burst (a failover's large diffs) for good.
+	spare *shard.Delta
 
-	// Publications counts Publish calls, for tests and smctl.
+	// Publications counts accepted publishes, for tests and smctl.
 	Publications int64
 
 	// observers see every delivery outcome. Unlike Subscribe they consume
 	// no RNG draws, so attaching one (healthmon and the auditor do) cannot
 	// perturb a seeded run. lag is publish-to-delivery staleness; status is
-	// "delivered", "stale", "cancelled", or — delta mode only — "resync" (a
-	// subscriber that could not chain onto a delta received a full snapshot).
+	// "delivered", "stale", "cancelled", or "resync" (a subscriber that
+	// could not chain onto a delta received the current map instead).
 	observers []func(app shard.AppID, version int64, lag time.Duration, status string)
 }
 
-// SetObserver registers the delivery observer, replacing any previously
-// attached observers (nil to clear).
-func (s *Service) SetObserver(fn func(app shard.AppID, version int64, lag time.Duration, status string)) {
-	if fn == nil {
-		s.observers = nil
-		return
-	}
-	s.observers = []func(shard.AppID, int64, time.Duration, string){fn}
-}
-
-// AddObserver registers an additional delivery observer without disturbing
-// ones already attached; observers fire in attachment order.
+// AddObserver registers a delivery observer; observers fire in attachment
+// order.
 func (s *Service) AddObserver(fn func(app shard.AppID, version int64, lag time.Duration, status string)) {
 	if fn == nil {
 		panic("discovery: AddObserver(nil)")
@@ -146,9 +163,9 @@ func NewService(loop *sim.Loop, delay DelayFunc) *Service {
 }
 
 // SetFanoutBatch sets how many subscribers share one delivery event per
-// publication (n <= 1 restores the exact per-subscriber legacy behavior).
-// Batch membership is fixed at Subscribe time, so the batch size must be
-// chosen before any subscriber registers.
+// publication (n <= 1 gives every subscriber its own). Batch membership is
+// fixed at Subscribe time, so the batch size must be chosen before any
+// subscriber registers.
 func (s *Service) SetFanoutBatch(n int) {
 	if n < 1 {
 		n = 1
@@ -170,193 +187,147 @@ func (s *Service) state(app shard.AppID) *appState {
 	return st
 }
 
-// Publish stores the map as the app's current version and schedules delivery
-// to every subscriber after an independent propagation delay. Maps are
-// applied in generation order when stamped (Gen > 0) — a publish whose
-// fencing generation is behind the current map's is stale (e.g. reordered in
-// flight from a superseded control-plane incarnation) and dropped, counted in
-// discovery_stale_publishes_total; unstamped maps fall back to version order.
-// The map is cloned; the caller may keep mutating its copy.
+// stale reports (and counts) a publish that does not advance app's current
+// map. Maps are applied in generation order when both sides are stamped
+// (Gen > 0) — a publish whose fencing generation is behind the current
+// map's was reordered in flight from a superseded control-plane incarnation
+// — and in version order otherwise.
+func (s *Service) stale(st *appState, app shard.AppID, version, gen int64) bool {
+	stale := version <= st.current.Version
+	if gen > 0 && st.current.Gen > 0 {
+		stale = gen <= st.current.Gen
+	}
+	if stale {
+		s.loop.Metrics().Counter("discovery_stale_publishes_total", "app", string(app)).Inc()
+	}
+	return stale
+}
+
+// Publish publishes m as its app's next version. The app's first publish is
+// the bootstrap snapshot that later deltas chain onto; every later publish
+// is diffed against the current map and travels as a delta, so its cost
+// beyond the O(shards) diff scan is O(changed entries). Stale publishes
+// (see PublishDelta) are dropped. The service keeps m's assignment lists,
+// which must not be mutated afterwards; the table stays the caller's.
 func (s *Service) Publish(m *shard.Map) {
-	s.publish(m, nil)
-}
-
-// PublishScratch is Publish for callers that recycle map storage: the
-// snapshot is cloned into scratch (reusing its entry map and assignment
-// slices) instead of deep-allocating, and the app's previous current map is
-// returned to serve as the caller's next scratch buffer. It is only safe
-// when no subscriber retains a delivered map beyond its callback and every
-// delivery of the previous map has completed (propagation delay shorter
-// than the publish interval); otherwise retained maps would be mutated in
-// place. Returns scratch unchanged when the publish is dropped as stale.
-func (s *Service) PublishScratch(m, scratch *shard.Map) *shard.Map {
-	return s.publish(m, scratch)
-}
-
-func (s *Service) publish(m, scratch *shard.Map) *shard.Map {
 	if m == nil {
 		panic("discovery: Publish(nil)")
 	}
 	st := s.state(m.App)
-	if st.current != nil {
-		stale := m.Version <= st.current.Version
-		if m.Gen > 0 && st.current.Gen > 0 {
-			stale = m.Gen <= st.current.Gen
-		}
-		if stale {
-			if mr := s.loop.Metrics(); mr != nil {
-				mr.Counter("discovery_stale_publishes_total", "app", string(m.App)).Inc()
-			}
-			return scratch
-		}
+	if st.current == nil {
+		st.current = m.Clone()
+		s.fanOut(st, nil)
+		return
 	}
-	var prev, snap *shard.Map
-	if scratch != nil {
-		prev = st.current
-		snap = m.CloneInto(scratch)
-	} else {
-		snap = m.Clone()
+	if s.stale(st, m.App, m.Version, m.Gen) {
+		return
 	}
-	st.current = snap
-	st.pubAt = s.loop.Now()
-	s.Publications++
-	if mr := s.loop.Metrics(); mr != nil {
-		mr.Counter("discovery_publications_total", "app", string(m.App)).Inc()
-		mr.Gauge("discovery_map_version", "app", string(m.App)).Set(float64(snap.Version))
-	}
-	if s.fanoutBatch > 1 {
-		for _, b := range st.batches {
-			s.deliverBatch(b, st, snap, nil, st.pubAt)
-		}
-	} else {
-		for _, sub := range st.subs {
-			s.deliver(sub, st, snap, nil, st.pubAt)
-		}
-	}
-	return prev
+	s.fanOut(st, m.Diff(st.current, s.deltaBuffer()))
 }
 
-// PublishDelta publishes an incremental update: the delta is applied in
-// place to the app's current map — O(changed entries) instead of the
-// O(shards) copy a full publish pays — and fanned out to subscribers, who
-// chain it onto their own maps (or resync from a full snapshot when they
-// can't; see SubscribeDelta). Delivery delays draw from the same
-// per-subscriber (or per-batch) RNG streams as full publishes, so a run is
-// schedule-identical whichever form the publisher uses.
+// PublishDelta publishes an incremental update staged by a publisher that
+// already knows its churn: d is applied to the app's current map and fanned
+// out to subscribers, who chain it onto their own maps (see Subscribe).
 //
-// Ordering follows Publish: a delta whose generation (when stamped, Gen > 0)
-// or target version is behind the current map is dropped as stale and
-// counted in discovery_stale_publishes_total; a non-stale delta whose
-// FromVersion does not match the current map (the publisher diffed against a
-// base the service never saw) is dropped and counted in
-// discovery_delta_gap_publishes_total — the publisher must fall back to a
-// full Publish.
+// A delta whose generation (when stamped, Gen > 0) or target version is
+// behind the current map is dropped as stale and counted in
+// discovery_stale_publishes_total; a non-stale delta whose FromVersion does
+// not match the current map is dropped and counted in
+// discovery_delta_gap_publishes_total. A dropped d is returned unchanged.
 //
-// Buffer recycling mirrors PublishScratch: the service retains d until the
-// app's next publish and then returns it as the caller's next scratch
-// buffer, so the returned delta (nil on the first call, d itself on a drop)
-// must not be read — only Reset and refilled. As with PublishScratch this is
-// safe only while propagation delays are shorter than the publish interval.
+// An accepted d belongs to the service from then on: deliveries in flight
+// read it. PublishDelta returns an empty buffer to stage the next update
+// into — a delta whose deliveries have all fired, when there is one.
 func (s *Service) PublishDelta(d *shard.Delta) *shard.Delta {
 	if d == nil {
 		panic("discovery: PublishDelta(nil)")
 	}
 	st := s.state(d.App)
 	if st.current == nil {
-		panic("discovery: PublishDelta before any full Publish")
+		panic("discovery: PublishDelta before the bootstrap Publish")
 	}
-	stale := d.ToVersion <= st.current.Version
-	if d.Gen > 0 && st.current.Gen > 0 {
-		stale = d.Gen <= st.current.Gen
-	}
-	if stale {
-		if mr := s.loop.Metrics(); mr != nil {
-			mr.Counter("discovery_stale_publishes_total", "app", string(d.App)).Inc()
-		}
+	if s.stale(st, d.App, d.ToVersion, d.Gen) {
 		return d
 	}
 	if st.current.Version != d.FromVersion {
-		if mr := s.loop.Metrics(); mr != nil {
-			mr.Counter("discovery_delta_gap_publishes_total", "app", string(d.App)).Inc()
-		}
+		s.loop.Metrics().Counter("discovery_delta_gap_publishes_total", "app", string(d.App)).Inc()
 		return d
 	}
-	if err := st.current.ApplyDelta(d); err != nil {
-		panic("discovery: " + err.Error())
+	s.fanOut(st, d)
+	return s.deltaBuffer()
+}
+
+// deltaBuffer returns the spare delta buffer, or a new one.
+func (s *Service) deltaBuffer() *shard.Delta {
+	if d := s.spare; d != nil {
+		s.spare = nil
+		return d
 	}
+	return &shard.Delta{}
+}
+
+// fanOut installs one accepted publication — the bootstrap when d is nil,
+// otherwise the delta d — as the app's current map and schedules one
+// delivery per subscriber batch. This is the single apply-and-fan-out path
+// every publish takes.
+func (s *Service) fanOut(st *appState, d *shard.Delta) {
+	var pub *publication
+	if d != nil {
+		if err := st.current.ApplyDelta(d); err != nil {
+			panic("discovery: " + err.Error())
+		}
+		if pub = s.freePublications; pub != nil {
+			s.freePublications = pub.next
+			pub.next = nil
+		} else {
+			pub = &publication{}
+		}
+		pub.d = d
+	}
+	cur := st.current
 	st.pubAt = s.loop.Now()
 	s.Publications++
 	if mr := s.loop.Metrics(); mr != nil {
-		mr.Counter("discovery_publications_total", "app", string(d.App)).Inc()
-		mr.Counter("discovery_delta_publishes_total", "app", string(d.App)).Inc()
-		mr.Gauge("discovery_map_version", "app", string(d.App)).Set(float64(st.current.Version))
-	}
-	if s.fanoutBatch > 1 {
-		for _, b := range st.batches {
-			s.deliverBatch(b, st, nil, d, st.pubAt)
+		mr.Counter("discovery_publications_total", "app", string(cur.App)).Inc()
+		if d != nil {
+			mr.Counter("discovery_delta_publishes_total", "app", string(cur.App)).Inc()
 		}
-	} else {
-		for _, sub := range st.subs {
-			s.deliver(sub, st, nil, d, st.pubAt)
-		}
+		mr.Gauge("discovery_map_version", "app", string(cur.App)).Set(float64(cur.Version))
 	}
-	recycled := st.inflight
-	st.inflight = d
-	return recycled
+	for _, b := range st.batches {
+		s.schedule(st, b, pub, st.pubAt)
+	}
+	if pub != nil && pub.pending == 0 {
+		s.release(pub)
+	}
 }
 
-// delivery is the pooled state of one scheduled per-subscriber delivery —
-// what the old per-delivery closure captured, recycled when it fires. Exactly
-// one of m (full snapshot) and d (incremental delta) is non-nil; st is the
-// owning app's state, consulted at fire time when a delta delivery must fall
-// back to a full resync.
-type delivery struct {
-	s     *Service
-	sub   *Subscription
-	st    *appState
-	m     *shard.Map
-	d     *shard.Delta
-	pubAt time.Duration
-	sp    trace.SpanID
-	next  *delivery
+// release recycles a publication whose deliveries have all fired; its delta
+// buffer becomes the spare.
+func (s *Service) release(pub *publication) {
+	s.spare = pub.d.Reset("", 0, 0, 0)
+	*pub = publication{next: s.freePublications}
+	s.freePublications = pub
 }
 
-// batchDelivery is the pooled state of one scheduled batch fan-out event.
-type batchDelivery struct {
-	s     *Service
-	batch *subBatch
-	st    *appState
-	m     *shard.Map
-	d     *shard.Delta
-	pubAt time.Duration
-	sp    trace.SpanID
-	next  *batchDelivery
-}
-
-// deliver schedules one delivery — a full map m, or a delta dlt when m is
-// nil; its span stretches from publication to the subscriber's callback, so
-// map-propagation lag is directly visible. pubAt is when the version was
-// published, so staleness metrics measure from publication rather than from
-// this (possibly later) subscribe time. Full and delta deliveries draw their
-// delays from the same per-subscriber RNG stream, so switching a publisher
-// to deltas does not shift anyone's delay sequence.
-func (s *Service) deliver(sub *Subscription, st *appState, m *shard.Map, dlt *shard.Delta, pubAt time.Duration) {
-	d := s.delay(sub.rng)
-	tr := s.loop.Tracer()
+// schedule posts one delivery of pub (nil: the current map) to batch after
+// one propagation delay drawn from the batch's RNG. Its span stretches from
+// publication to the subscribers' callbacks, so map-propagation lag is
+// directly visible. pubAt is when the version was published, so staleness
+// metrics measure from publication rather than from a later subscribe time.
+func (s *Service) schedule(st *appState, batch *subBatch, pub *publication, pubAt time.Duration) {
+	delay := s.delay(batch.rng)
 	var sp trace.SpanID
-	if tr.Enabled() {
-		if m != nil {
-			sp = tr.StartSpan("discovery", "propagate", 0,
-				trace.String("app", string(m.App)),
-				trace.Int64("version", m.Version),
-				trace.Int("sub", sub.id))
-		} else {
-			sp = tr.StartSpan("discovery", "propagate", 0,
-				trace.String("app", string(dlt.App)),
-				trace.Int64("version", dlt.ToVersion),
-				trace.Int("sub", sub.id),
-				trace.Int("edits", dlt.Len()))
+	if tr := s.loop.Tracer(); tr.Enabled() {
+		edits := 0
+		if pub != nil {
+			edits = pub.d.Len()
 		}
+		sp = tr.StartSpan("discovery", "propagate", 0,
+			trace.String("app", string(st.current.App)),
+			trace.Int64("version", st.current.Version),
+			trace.Int("subs", len(batch.subs)),
+			trace.Int("edits", edits))
 	}
 	dv := s.freeDeliveries
 	if dv == nil {
@@ -365,200 +336,106 @@ func (s *Service) deliver(sub *Subscription, st *appState, m *shard.Map, dlt *sh
 		s.freeDeliveries = dv.next
 		dv.next = nil
 	}
-	dv.sub, dv.st, dv.m, dv.d, dv.pubAt, dv.sp = sub, st, m, dlt, pubAt, sp
-	s.loop.PostArgL(d, lbDeliver, deliverOne, dv)
+	dv.st, dv.batch, dv.pub, dv.pubAt, dv.sp = st, batch, pub, pubAt, sp
+	if pub != nil {
+		pub.pending++
+	}
+	s.loop.PostArgL(delay, lbDeliver, deliver, dv)
 }
 
-// applyDeltaDelivery applies one delta delivery to sub, emitting the delivery
-// metrics and observer calls, and returns the outcome status. A subscriber
-// whose version chains onto the delta (lastSeen == FromVersion) applies it
-// in order through its delta callback; one that missed a version — or that
-// subscribed without a delta callback — resyncs from the app's authoritative
-// current map instead (status "resync").
-func (s *Service) applyDeltaDelivery(sub *Subscription, st *appState, dlt *shard.Delta, lag time.Duration) string {
-	status, version := "delivered", dlt.ToVersion
-	var resync *shard.Map
+// deliver runs one scheduled delivery at its propagation instant.
+func deliver(a any) {
+	dv := a.(*delivery)
+	s, st, batch, pub, pubAt, sp := dv.s, dv.st, dv.batch, dv.pub, dv.pubAt, dv.sp
+	*dv = delivery{s: s, next: s.freeDeliveries}
+	s.freeDeliveries = dv
+
+	var d *shard.Delta
+	if pub != nil {
+		d = pub.d
+	}
+	lag := s.loop.Now() - pubAt
+	status, delivered := "", 0
+	for _, sub := range batch.subs {
+		status = s.deliverTo(sub, st, d, lag)
+		if status == "delivered" || status == "resync" {
+			delivered++
+		}
+	}
+	if tr := s.loop.Tracer(); tr.Enabled() {
+		if len(batch.subs) > 1 {
+			status = "delivered"
+		}
+		tr.EndSpan(sp, trace.String("status", status), trace.Int("delivered", delivered))
+	}
+	if pub != nil {
+		if pub.pending--; pub.pending == 0 {
+			s.release(pub)
+		}
+	}
+}
+
+// deliverTo hands one subscriber its update and returns the outcome status.
+// A subscriber whose version chains onto the delta (lastSeen == FromVersion)
+// applies it through onDelta; one that missed a version — or is receiving
+// its catch-up (d == nil) — gets the current map through onSnapshot, unless
+// it already holds that version.
+func (s *Service) deliverTo(sub *Subscription, st *appState, d *shard.Delta, lag time.Duration) string {
+	cur := st.current
+	status, version := "delivered", cur.Version
 	switch {
 	case sub.cancelled:
 		status = "cancelled"
-	case dlt.ToVersion <= sub.lastSeen:
-		status = "stale"
-	case sub.deltaFn != nil && sub.lastSeen == dlt.FromVersion:
-		// In-order: apply below, after metrics/observers.
-	default:
-		if cur := st.current; cur != nil && cur.Version > sub.lastSeen {
-			status, version, resync = "resync", cur.Version, cur
-		} else {
+	case d == nil:
+		if cur.Version <= sub.lastSeen {
 			status = "stale"
 		}
+	case d.ToVersion <= sub.lastSeen:
+		status, version = "stale", d.ToVersion
+	case sub.lastSeen > 0 && sub.lastSeen == d.FromVersion:
+		version = d.ToVersion
+	case cur.Version > sub.lastSeen:
+		status = "resync"
+	default:
+		status, version = "stale", d.ToVersion
 	}
 	if mr := s.loop.Metrics(); mr != nil {
 		mr.Counter("discovery_deliveries_total",
-			"app", string(dlt.App), "status", status).Inc()
+			"app", string(cur.App), "status", status).Inc()
 		if status == "delivered" || status == "resync" {
-			mr.Histogram("discovery_propagation_ms", nil, "app", string(dlt.App)).
+			mr.Histogram("discovery_propagation_ms", nil, "app", string(cur.App)).
 				Observe(float64(lag) / float64(time.Millisecond))
 		}
 	}
 	for _, obs := range s.observers {
-		obs(dlt.App, version, lag, status)
+		obs(cur.App, version, lag, status)
 	}
-	switch status {
-	case "delivered":
-		sub.lastSeen = dlt.ToVersion
-		sub.deltaFn(dlt)
-	case "resync":
-		sub.lastSeen = resync.Version
-		sub.fn(resync)
+	switch {
+	case status == "delivered" && d != nil:
+		sub.lastSeen = version
+		sub.onDelta(d)
+	case status == "delivered" || status == "resync":
+		sub.lastSeen = version
+		sub.onSnapshot(cur)
 	}
 	return status
 }
 
-// deliverOne runs one per-subscriber delivery at its propagation instant.
-func deliverOne(a any) {
-	dv := a.(*delivery)
-	s, sub, st, m, dlt, pubAt, sp := dv.s, dv.sub, dv.st, dv.m, dv.d, dv.pubAt, dv.sp
-	*dv = delivery{s: s, next: s.freeDeliveries}
-	s.freeDeliveries = dv
-
-	if dlt != nil {
-		status := s.applyDeltaDelivery(sub, st, dlt, s.loop.Now()-pubAt)
-		if tr := s.loop.Tracer(); tr.Enabled() {
-			tr.EndSpan(sp, trace.String("status", status))
-		}
-		return
-	}
-
-	status := "delivered"
-	if sub.cancelled || m.Version <= sub.lastSeen {
-		status = "stale"
-		if sub.cancelled {
-			status = "cancelled"
-		}
-	}
-	lag := s.loop.Now() - pubAt
-	if mr := s.loop.Metrics(); mr != nil {
-		mr.Counter("discovery_deliveries_total",
-			"app", string(m.App), "status", status).Inc()
-		if status == "delivered" {
-			mr.Histogram("discovery_propagation_ms", nil, "app", string(m.App)).
-				Observe(float64(lag) / float64(time.Millisecond))
-		}
-	}
-	for _, obs := range s.observers {
-		obs(m.App, m.Version, lag, status)
-	}
-	tr := s.loop.Tracer()
-	if status != "delivered" {
-		if tr.Enabled() {
-			tr.EndSpan(sp, trace.String("status", status))
-		}
-		return // stale delivery overtaken by a newer one
-	}
-	sub.lastSeen = m.Version
-	if tr.Enabled() {
-		tr.EndSpan(sp, trace.String("status", "delivered"))
-	}
-	sub.fn(m)
-}
-
-// deliverBatch schedules one delivery event for a whole subscriber batch —
-// one sampled delay from the batch's RNG, one event, one span — carrying a
-// full map m or, when m is nil, the delta dlt.
-func (s *Service) deliverBatch(b *subBatch, st *appState, m *shard.Map, dlt *shard.Delta, pubAt time.Duration) {
-	d := s.delay(b.rng)
-	tr := s.loop.Tracer()
-	var sp trace.SpanID
-	if tr.Enabled() {
-		if m != nil {
-			sp = tr.StartSpan("discovery", "propagate", 0,
-				trace.String("app", string(m.App)),
-				trace.Int64("version", m.Version),
-				trace.Int("subs", len(b.subs)))
-		} else {
-			sp = tr.StartSpan("discovery", "propagate", 0,
-				trace.String("app", string(dlt.App)),
-				trace.Int64("version", dlt.ToVersion),
-				trace.Int("subs", len(b.subs)),
-				trace.Int("edits", dlt.Len()))
-		}
-	}
-	bd := s.freeBatchDeliveries
-	if bd == nil {
-		bd = &batchDelivery{s: s}
-	} else {
-		s.freeBatchDeliveries = bd.next
-		bd.next = nil
-	}
-	bd.batch, bd.st, bd.m, bd.d, bd.pubAt, bd.sp = b, st, m, dlt, pubAt, sp
-	s.loop.PostArgL(d, lbDeliver, deliverToBatch, bd)
-}
-
-// deliverToBatch applies one published map or delta to every subscriber in a
-// batch.
-func deliverToBatch(a any) {
-	bd := a.(*batchDelivery)
-	s, batch, st, m, dlt, pubAt, sp := bd.s, bd.batch, bd.st, bd.m, bd.d, bd.pubAt, bd.sp
-	*bd = batchDelivery{s: s, next: s.freeBatchDeliveries}
-	s.freeBatchDeliveries = bd
-
-	lag := s.loop.Now() - pubAt
-	if dlt != nil {
-		delivered := 0
-		for _, sub := range batch.subs {
-			if s.applyDeltaDelivery(sub, st, dlt, lag) == "delivered" {
-				delivered++
-			}
-		}
-		if tr := s.loop.Tracer(); tr.Enabled() {
-			tr.EndSpan(sp, trace.String("status", "delivered"),
-				trace.Int("delivered", delivered))
-		}
-		return
-	}
-	mr := s.loop.Metrics()
-	delivered := 0
-	for _, sub := range batch.subs {
-		status := "delivered"
-		if sub.cancelled || m.Version <= sub.lastSeen {
-			status = "stale"
-			if sub.cancelled {
-				status = "cancelled"
-			}
-		}
-		if mr != nil {
-			mr.Counter("discovery_deliveries_total",
-				"app", string(m.App), "status", status).Inc()
-			if status == "delivered" {
-				mr.Histogram("discovery_propagation_ms", nil, "app", string(m.App)).
-					Observe(float64(lag) / float64(time.Millisecond))
-			}
-		}
-		for _, obs := range s.observers {
-			obs(m.App, m.Version, lag, status)
-		}
-		if status != "delivered" {
-			continue
-		}
-		delivered++
-		sub.lastSeen = m.Version
-		sub.fn(m)
-	}
-	if tr := s.loop.Tracer(); tr.Enabled() {
-		tr.EndSpan(sp, trace.String("status", "delivered"),
-			trace.Int("delivered", delivered))
-	}
-}
-
-// Subscribe registers fn to receive the app's shard maps. If a map already
-// exists it is delivered after one propagation delay (a client fetching the
-// current state at start-up).
-func (s *Service) Subscribe(app shard.AppID, fn func(*shard.Map)) *Subscription {
-	if fn == nil {
+// Subscribe registers a subscriber for app's shard maps. onSnapshot
+// receives a full map: the start-up catch-up (the current map, after one
+// propagation delay, if one exists) and a resync whenever the subscriber
+// cannot chain onto a delivered delta. onDelta receives each in-order
+// update (the N→N+1 delta when the subscriber holds N). Both arguments are
+// service-owned and valid only during the callback: a subscriber copies the
+// map's table (shard.Map.Clone/CloneInto) and applies deltas to its copy;
+// the assignment lists inside are immutable and may be kept.
+func (s *Service) Subscribe(app shard.AppID, onSnapshot func(*shard.Map), onDelta func(*shard.Delta)) *Subscription {
+	if onSnapshot == nil || onDelta == nil {
 		panic("discovery: Subscribe(nil)")
 	}
 	st := s.state(app)
-	sub := &Subscription{app: app, id: len(st.subs), fn: fn, rng: s.rng.Fork()}
+	sub := &Subscription{onSnapshot: onSnapshot, onDelta: onDelta}
+	sub.self = subBatch{rng: s.rng.Fork(), subs: []*Subscription{sub}}
 	st.subs = append(st.subs, sub)
 	if s.fanoutBatch > 1 {
 		if nb := len(st.batches); nb == 0 || len(st.batches[nb-1].subs) == s.fanoutBatch {
@@ -566,34 +443,20 @@ func (s *Service) Subscribe(app shard.AppID, fn func(*shard.Map)) *Subscription 
 		}
 		b := st.batches[len(st.batches)-1]
 		b.subs = append(b.subs, sub)
+	} else {
+		st.batches = append(st.batches, &sub.self)
 	}
 	if st.current != nil {
 		// Start-up catch-up is per-subscriber even in batch mode: the new
 		// subscriber fetches the current map on its own stream.
-		s.deliver(sub, st, st.current, nil, st.pubAt)
+		s.schedule(st, &sub.self, nil, st.pubAt)
 	}
 	return sub
 }
 
-// SubscribeDelta registers a delta-aware subscriber. onDelta receives each
-// in-order incremental update (the N→N+1 delta when the subscriber's map is
-// at N); onFull receives full snapshots — the start-up catch-up, full-map
-// publishes, and a resync whenever the subscriber cannot chain onto a
-// delivered delta (observer status "resync"). Both arguments are
-// service-owned: apply them inside the callback and do not retain them.
-// RNG accounting matches Subscribe exactly, so replacing a Subscribe call
-// with SubscribeDelta does not perturb a seeded run.
-func (s *Service) SubscribeDelta(app shard.AppID, onFull func(*shard.Map), onDelta func(*shard.Delta)) *Subscription {
-	if onFull == nil || onDelta == nil {
-		panic("discovery: SubscribeDelta(nil)")
-	}
-	sub := s.Subscribe(app, onFull)
-	sub.deltaFn = onDelta
-	return sub
-}
-
-// Current returns the latest published map for app (no delay — this is the
-// authoritative read used by control-plane components, not clients), or nil.
+// Current returns a copy of the latest published map for app (no delay —
+// this is the authoritative read used by control-plane components, not
+// clients), or nil. The copy's table is the caller's; its lists are shared.
 func (s *Service) Current(app shard.AppID) *shard.Map {
 	st, ok := s.apps[app]
 	if !ok || st.current == nil {
@@ -603,7 +466,7 @@ func (s *Service) Current(app shard.AppID) *shard.Map {
 }
 
 // CurrentMeta returns the version and generation of app's current map
-// without cloning it, or ok=false when nothing has been published. Clients
+// without copying it, or ok=false when nothing has been published. Clients
 // use it to decide whether a refresh is worth the copy.
 func (s *Service) CurrentMeta(app shard.AppID) (version, gen int64, ok bool) {
 	st, found := s.apps[app]
@@ -613,9 +476,9 @@ func (s *Service) CurrentMeta(app shard.AppID) (version, gen int64, ok bool) {
 	return st.current.Version, st.current.Gen, true
 }
 
-// CurrentInto clones the latest published map for app into dst, reusing its
-// storage (shard.Map.CloneInto; dst may be nil). Returns the clone, or nil
-// when nothing has been published.
+// CurrentInto copies the latest published map for app into dst, reusing its
+// table (shard.Map.CloneInto; dst may be nil). Returns the copy, or nil when
+// nothing has been published.
 func (s *Service) CurrentInto(app shard.AppID, dst *shard.Map) *shard.Map {
 	st, ok := s.apps[app]
 	if !ok || st.current == nil {

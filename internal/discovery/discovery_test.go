@@ -8,6 +8,14 @@ import (
 	"shardmanager/internal/sim"
 )
 
+// subscribe registers a subscriber to "app" that reports every version it
+// receives, whether as a snapshot or as a delta.
+func subscribe(svc *Service, fn func(v int64)) *Subscription {
+	return svc.Subscribe("app",
+		func(m *shard.Map) { fn(m.Version) },
+		func(d *shard.Delta) { fn(d.ToVersion) })
+}
+
 func mapV(v int64) *shard.Map {
 	m := shard.NewMap("app")
 	m.Version = v
@@ -19,7 +27,7 @@ func TestPublishDeliversAfterDelay(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
 	var got []int64
-	svc.Subscribe("app", func(m *shard.Map) { got = append(got, m.Version) })
+	subscribe(svc, func(v int64) { got = append(got, v) })
 	svc.Publish(mapV(1))
 	loop.RunFor(500 * time.Millisecond)
 	if len(got) != 0 {
@@ -36,7 +44,7 @@ func TestSubscribeReceivesCurrentMap(t *testing.T) {
 	svc := NewService(loop, FixedDelay(time.Second))
 	svc.Publish(mapV(7))
 	var got int64
-	svc.Subscribe("app", func(m *shard.Map) { got = m.Version })
+	subscribe(svc, func(v int64) { got = v })
 	loop.RunFor(2 * time.Second)
 	if got != 7 {
 		t.Fatalf("late subscriber got v%d, want 7", got)
@@ -69,7 +77,7 @@ func TestOutOfOrderDeliverySuppressed(t *testing.T) {
 		return d
 	})
 	var got []int64
-	svc.Subscribe("app", func(m *shard.Map) { got = append(got, m.Version) })
+	subscribe(svc, func(v int64) { got = append(got, v) })
 	svc.Publish(mapV(1))
 	svc.Publish(mapV(2))
 	loop.RunFor(10 * time.Second)
@@ -82,7 +90,7 @@ func TestCancelStopsDelivery(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
 	n := 0
-	sub := svc.Subscribe("app", func(*shard.Map) { n++ })
+	sub := subscribe(svc, func(int64) { n++ })
 	svc.Publish(mapV(1))
 	sub.Cancel()
 	loop.RunFor(5 * time.Second)
@@ -96,9 +104,13 @@ func TestPublishClonesMap(t *testing.T) {
 	svc := NewService(loop, FixedDelay(0))
 	m := mapV(1)
 	svc.Publish(m)
-	m.Entries["s1"][0].Server = "mutated"
-	if svc.Current("app").Entries["s1"][0].Server != "srv" {
-		t.Fatal("Publish did not clone")
+	// The table stays the caller's: replacing or adding entries after the
+	// publish does not reach the service.
+	m.Entries["s1"] = []shard.Assignment{{Server: "mutated"}}
+	m.Entries["s2"] = nil
+	cur := svc.Current("app")
+	if cur.Entries["s1"][0].Server != "srv" || len(cur.Entries) != 1 {
+		t.Fatal("Publish did not copy the table")
 	}
 }
 
@@ -134,7 +146,7 @@ func TestMultipleSubscribersIndependentDelays(t *testing.T) {
 	svc := NewService(loop, DefaultDelay())
 	n := 0
 	for i := 0; i < 50; i++ {
-		svc.Subscribe("app", func(*shard.Map) { n++ })
+		subscribe(svc, func(int64) { n++ })
 	}
 	svc.Publish(mapV(1))
 	loop.RunFor(3 * time.Second)
@@ -147,7 +159,7 @@ func TestPanicsOnNilArgs(t *testing.T) {
 	svc := NewService(sim.NewLoop(1), nil)
 	for name, fn := range map[string]func(){
 		"publish nil":   func() { svc.Publish(nil) },
-		"subscribe nil": func() { svc.Subscribe("app", nil) },
+		"subscribe nil": func() { svc.Subscribe("app", nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -171,9 +183,9 @@ func TestSubscriberDeliveryTimingUnaffectedByOtherSubscribers(t *testing.T) {
 		loop := sim.NewLoop(42)
 		svc := NewService(loop, DefaultDelay())
 		var at []time.Duration
-		svc.Subscribe("app", func(*shard.Map) { at = append(at, loop.Now()) })
+		subscribe(svc, func(int64) { at = append(at, loop.Now()) })
 		for i := 0; i < extraSubscribers; i++ {
-			svc.Subscribe("app", func(*shard.Map) {})
+			subscribe(svc, func(int64) {})
 		}
 		for v := int64(1); v <= 5; v++ {
 			svc.Publish(mapV(v))
@@ -200,8 +212,8 @@ func TestCancelDoesNotPerturbOtherSubscribers(t *testing.T) {
 		loop := sim.NewLoop(7)
 		svc := NewService(loop, DefaultDelay())
 		var at []time.Duration
-		svc.Subscribe("app", func(*shard.Map) { at = append(at, loop.Now()) })
-		other := svc.Subscribe("app", func(*shard.Map) {})
+		subscribe(svc, func(int64) { at = append(at, loop.Now()) })
+		other := subscribe(svc, func(int64) {})
 		if cancel {
 			other.Cancel()
 		}
@@ -227,7 +239,7 @@ func TestBatchedFanoutDeliversToAllSubscribers(t *testing.T) {
 	got := make([]int64, subs)
 	for i := 0; i < subs; i++ {
 		i := i
-		svc.Subscribe("app", func(m *shard.Map) { got[i] = m.Version })
+		subscribe(svc, func(v int64) { got[i] = v })
 	}
 	svc.Publish(mapV(1))
 	// One event per batch, not per subscriber.
@@ -246,15 +258,19 @@ func TestBatchedFanoutRespectsCancelAndStaleness(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
 	svc.SetFanoutBatch(8)
-	var live, dead int
-	svc.Subscribe("app", func(*shard.Map) { live++ })
-	cancelled := svc.Subscribe("app", func(*shard.Map) { dead++ })
+	var live []int64
+	dead := 0
+	subscribe(svc, func(v int64) { live = append(live, v) })
+	cancelled := subscribe(svc, func(int64) { dead++ })
 	cancelled.Cancel()
 	svc.Publish(mapV(1))
 	svc.Publish(mapV(2))
 	loop.RunFor(5 * time.Second)
-	if live != 2 || dead != 0 {
-		t.Fatalf("live=%d dead=%d, want 2/0", live, dead)
+	// Both deliveries land at the same instant. The bootstrap delivery
+	// hands over the current map, already at v2, so the v1->v2 delta that
+	// follows is stale.
+	if len(live) != 1 || live[0] != 2 || dead != 0 {
+		t.Fatalf("live=%v dead=%d, want [2]/0", live, dead)
 	}
 }
 
@@ -265,7 +281,7 @@ func TestBatchedFanoutCatchUpOnSubscribe(t *testing.T) {
 	svc.Publish(mapV(3))
 	loop.RunFor(2 * time.Second)
 	var got int64
-	svc.Subscribe("app", func(m *shard.Map) { got = m.Version })
+	subscribe(svc, func(v int64) { got = v })
 	loop.RunFor(2 * time.Second)
 	if got != 3 {
 		t.Fatalf("late subscriber saw version %d, want 3", got)
@@ -275,7 +291,7 @@ func TestBatchedFanoutCatchUpOnSubscribe(t *testing.T) {
 func TestSetFanoutBatchAfterSubscribePanics(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
-	svc.Subscribe("app", func(*shard.Map) {})
+	subscribe(svc, func(int64) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetFanoutBatch after Subscribe did not panic")
@@ -294,7 +310,7 @@ func TestDefaultFanoutMatchesLegacyPerSubscriberTiming(t *testing.T) {
 		configure(svc)
 		var at []time.Duration
 		for i := 0; i < 5; i++ {
-			svc.Subscribe("app", func(*shard.Map) { at = append(at, loop.Now()) })
+			subscribe(svc, func(int64) { at = append(at, loop.Now()) })
 		}
 		svc.Publish(mapV(1))
 		loop.RunFor(time.Minute)
@@ -309,31 +325,5 @@ func TestDefaultFanoutMatchesLegacyPerSubscriberTiming(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery %d at %v vs %v: batch=1 diverges from legacy", i, a[i], b[i])
 		}
-	}
-}
-
-func TestPublishScratchReusesBuffers(t *testing.T) {
-	loop := sim.NewLoop(1)
-	svc := NewService(loop, FixedDelay(time.Second))
-	applied := 0
-	svc.Subscribe("app", func(*shard.Map) { applied++ })
-	m := mapV(1)
-	scratch := svc.PublishScratch(m, shard.NewMap("app"))
-	loop.RunFor(2 * time.Second)
-	for v := int64(2); v <= 4; v++ {
-		m.Version = v
-		scratch = svc.PublishScratch(m, scratch)
-		loop.RunFor(2 * time.Second)
-	}
-	if applied != 4 {
-		t.Fatalf("applied = %d, want 4", applied)
-	}
-	if cur := svc.Current("app"); cur == nil || cur.Version != 4 {
-		t.Fatalf("Current = %+v, want version 4", cur)
-	}
-	// A stale publish hands the scratch straight back.
-	m.Version = 2
-	if got := svc.PublishScratch(m, scratch); got != scratch {
-		t.Fatal("stale PublishScratch did not return the scratch buffer")
 	}
 }

@@ -153,3 +153,22 @@ func TestTortureReport(t *testing.T) {
 		t.Errorf("rendered report should state the log is clean:\n%s", rendered)
 	}
 }
+
+// TestTortureSmokeReachesResync runs the 12-seed smoke that check.sh gates
+// on and requires it to drive the delta chain through its resync branch —
+// a client that missed a version catches up from the current map — with no
+// invariant violations.
+func TestTortureSmokeReachesResync(t *testing.T) {
+	p := DefaultTortureParams()
+	p.Seeds = 12
+	art := Torture(p).Extra.(*TortureArtifacts)
+	if art.Violations != 0 || art.Panics != 0 {
+		t.Fatalf("smoke found %d violations, %d panics: %+v", art.Violations, art.Panics, art.Bugs)
+	}
+	if art.Deliveries["resync"] == 0 {
+		t.Fatalf("no resync deliveries in the smoke: %v", art.Deliveries)
+	}
+	if art.Deliveries["delivered"] == 0 {
+		t.Fatalf("no in-order deliveries in the smoke: %v", art.Deliveries)
+	}
+}

@@ -31,8 +31,7 @@ type ControlScalePoint struct {
 // ControlScaleParams configure the controlscale benchmark.
 type ControlScaleParams struct {
 	// Points are run in order; BENCH_controlplane.json records one entry
-	// each. Every point runs twice — full-snapshot publication and delta
-	// publication — over the same churn sequence.
+	// each.
 	Points []ControlScalePoint
 	// ShardsPerServer sizes the synthetic fleet (Shards/ShardsPerServer
 	// servers, minimum 1).
@@ -74,13 +73,14 @@ var controlScaleOverride func(*ControlScaleParams)
 // params after scale selection (nil to clear).
 func SetControlScaleOverride(fn func(*ControlScaleParams)) { controlScaleOverride = fn }
 
-// ControlScaleModeRecord is one publication mode's measured cost at a point.
+// ControlScaleModeRecord is the measured steady-state publication cost at a
+// point.
 type ControlScaleModeRecord struct {
-	// Publishes counts steady-state churn publications (full snapshots or
-	// deltas; the bootstrap base is excluded).
+	// Publishes counts steady-state churn publications (deltas; the
+	// bootstrap base is excluded).
 	Publishes int64 `json:"publishes"`
 	// BytesPerPublish is the approximate wire size of one steady-state
-	// publication (shard.Map/Delta ApproxBytes, same accounting both modes).
+	// publication (shard.Delta.ApproxBytes).
 	BytesPerPublish float64 `json:"bytes_per_publish"`
 	// ChurnWallMS is the wall-clock cost of all churn waves end to end:
 	// staging, publication, discovery fan-out, and subscriber application.
@@ -97,11 +97,7 @@ type ControlScalePointRecord struct {
 	Rounds            int                    `json:"rounds"`
 	ChurnPerPartition int                    `json:"churn_per_partition"`
 	BootstrapWallMS   float64                `json:"bootstrap_wall_ms"`
-	Full              ControlScaleModeRecord `json:"full"`
 	Delta             ControlScaleModeRecord `json:"delta"`
-	// DeltaSpeedup is Full.ChurnWallMS / Delta.ChurnWallMS — how much
-	// cheaper steady-state publication is with deltas.
-	DeltaSpeedup float64 `json:"delta_speedup"`
 	// DeltaEntriesPerSec is changed entries propagated per wall-clock
 	// second on the delta path (the baseline-gate metric).
 	DeltaEntriesPerSec float64 `json:"delta_entries_per_sec"`
@@ -112,7 +108,8 @@ type ControlScalePointRecord struct {
 
 // ControlScaleRecord is the BENCH_controlplane.json payload (Report.Extra).
 type ControlScaleRecord struct {
-	Points []ControlScalePointRecord `json:"points"`
+	Machine Machine                   `json:"machine"`
+	Points  []ControlScalePointRecord `json:"points"`
 }
 
 // ControlScale benchmarks the partitioned control plane end to end: each
@@ -120,12 +117,11 @@ type ControlScaleRecord struct {
 // into partitions and packs them onto mini-SMs; every partition owns a
 // publication stream (its mini-SM's shard map slice) with one subscriber.
 // Steady-state churn — a few hundred reassignments per partition per wave —
-// is published either as full snapshots (the pre-delta control plane) or as
-// deltas, over the identical churn sequence, and the two costs are compared.
+// is published as deltas and its cost measured.
 func ControlScale(p ControlScaleParams) *Report {
 	rep := &Report{
 		ID:    "controlscale",
-		Title: "partitioned control plane: full vs delta publication cost",
+		Title: "partitioned control plane: delta publication cost",
 		Params: map[string]string{
 			"points":        fmt.Sprintf("%d", len(p.Points)),
 			"flush_batch":   fmt.Sprintf("%d", p.FlushBatch),
@@ -134,11 +130,11 @@ func ControlScale(p ControlScaleParams) *Report {
 			"shards/server": fmt.Sprintf("%d", p.ShardsPerServer),
 		},
 	}
-	rec := &ControlScaleRecord{}
+	rec := &ControlScaleRecord{Machine: CurrentMachine()}
 	table := Table{
 		Title: "steady-state publication cost by scale",
-		Columns: []string{"shards", "parts", "miniSMs", "full ms/wave", "delta ms/wave",
-			"full B/pub", "delta B/pub", "speedup", "converge ms"},
+		Columns: []string{"shards", "parts", "miniSMs", "delta ms/wave",
+			"delta B/pub", "entries/sec", "converge ms"},
 	}
 	for i, pt := range p.Points {
 		r := runControlScalePoint(p, pt, p.Seed+uint64(i))
@@ -147,11 +143,9 @@ func ControlScale(p ControlScaleParams) *Report {
 			fmt.Sprintf("%d", r.Shards),
 			fmt.Sprintf("%d", r.Partitions),
 			fmt.Sprintf("%d", r.MiniSMs),
-			fmt.Sprintf("%.1f", r.Full.ChurnWallMS/float64(r.Rounds)),
 			fmt.Sprintf("%.2f", r.Delta.ChurnWallMS/float64(r.Rounds)),
-			fmt.Sprintf("%.0f", r.Full.BytesPerPublish),
 			fmt.Sprintf("%.0f", r.Delta.BytesPerPublish),
-			fmt.Sprintf("%.0fx", r.DeltaSpeedup),
+			fmt.Sprintf("%.0f", r.DeltaEntriesPerSec),
 			fmt.Sprintf("%.0f", r.ConvergenceMS),
 		})
 	}
@@ -159,43 +153,37 @@ func ControlScale(p ControlScaleParams) *Report {
 	last := rec.Points[len(rec.Points)-1]
 	rep.AddValue("shards", float64(last.Shards))
 	rep.AddValue("mini_sms", float64(last.MiniSMs))
-	rep.AddValue("delta_speedup", last.DeltaSpeedup)
 	rep.AddValue("delta_entries_per_sec", rec.Points[0].DeltaEntriesPerSec)
-	rep.AddNote("largest point: %d shards over %d partitions on %d mini-SMs; delta publication %.0fx cheaper than full snapshots (%.0f vs %.0f bytes/publish)",
-		last.Shards, last.Partitions, last.MiniSMs, last.DeltaSpeedup,
-		last.Delta.BytesPerPublish, last.Full.BytesPerPublish)
+	rep.AddNote("largest point: %d shards over %d partitions on %d mini-SMs; %.0f bytes/publish, %.2f ms per churn wave",
+		last.Shards, last.Partitions, last.MiniSMs,
+		last.Delta.BytesPerPublish, last.Delta.ChurnWallMS/float64(last.Rounds))
 	rep.AddNote("worst-case map convergence at that point: %.0f ms simulated from wave start to every subscriber applied",
 		last.ConvergenceMS)
 	rep.Extra = rec
 	return rep
 }
 
-// runControlScalePoint drives one configuration through both publication
-// modes over the same churn sequence and merges the results.
+// runControlScalePoint drives one configuration and returns its record.
 func runControlScalePoint(p ControlScaleParams, pt ControlScalePoint, seed uint64) ControlScalePointRecord {
-	full := runControlScaleWorld(p, pt, seed, false)
-	delta := runControlScaleWorld(p, pt, seed, true)
-
+	w := runControlScaleWorld(p, pt, seed)
 	r := ControlScalePointRecord{
 		Shards:            pt.Shards,
-		Partitions:        delta.partitions,
-		MiniSMs:           delta.miniSMs,
-		Servers:           delta.servers,
+		Partitions:        w.partitions,
+		MiniSMs:           w.miniSMs,
+		Servers:           w.servers,
 		Rounds:            pt.Rounds,
 		ChurnPerPartition: pt.ChurnPerPartition,
-		BootstrapWallMS:   delta.bootstrapWall.Seconds() * 1e3,
-		Full:              full.mode(),
-		Delta:             delta.mode(),
-		ConvergenceMS:     float64(delta.convergence) / float64(time.Millisecond),
+		BootstrapWallMS:   w.bootstrapWall.Seconds() * 1e3,
+		Delta:             w.mode(),
+		ConvergenceMS:     float64(w.convergence) / float64(time.Millisecond),
 	}
 	if r.Delta.ChurnWallMS > 0 {
-		r.DeltaSpeedup = r.Full.ChurnWallMS / r.Delta.ChurnWallMS
-		r.DeltaEntriesPerSec = float64(delta.changedEntries) / (r.Delta.ChurnWallMS / 1e3)
+		r.DeltaEntriesPerSec = float64(w.changedEntries) / (r.Delta.ChurnWallMS / 1e3)
 	}
 	return r
 }
 
-// controlScaleWorld holds one mode's measurements.
+// controlScaleWorld holds one point's measurements.
 type controlScaleWorld struct {
 	partitions, miniSMs, servers int
 	bootstrapWall                time.Duration
@@ -224,7 +212,7 @@ func (w *controlScaleWorld) mode() ControlScaleModeRecord {
 // publishers, one subscriber per partition — bootstraps it with a full
 // publication wave, then drives Rounds churn waves, measuring wall-clock
 // publication cost and simulated convergence latency.
-func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint64, deltaMode bool) *controlScaleWorld {
+func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint64) *controlScaleWorld {
 	const app = shard.AppID("controlscale")
 	loop := sim.NewLoop(seed)
 	disc := discovery.NewService(loop, discovery.DefaultDelay())
@@ -265,10 +253,8 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 	}
 
 	// One publisher and one subscriber per partition. The subscriber mirrors
-	// a mini-SM's downstream consumer: in delta mode it maintains a private
-	// map copy and applies each delta in place; in full mode each delivery
-	// replaces the whole map (storage recycled by discovery, so the
-	// subscriber only observes, never retains).
+	// a mini-SM's downstream consumer: it keeps its own copy of the
+	// partition's map table and applies each delta to it.
 	pubs := make([]*controlplane.PartitionPublisher, len(parts))
 	lastApplied := make([]time.Duration, len(parts))
 	for pi := range parts {
@@ -281,25 +267,21 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 				Role:   shard.RolePrimary,
 			}}
 		}
-		pubs[pi] = controlplane.NewPartitionPublisher(disc, pm.App, pm, deltaMode)
+		pubs[pi] = controlplane.NewPartitionPublisher(disc, pm.App, pm)
 
 		cell := &lastApplied[pi]
-		if deltaMode {
-			var mine *shard.Map
-			disc.SubscribeDelta(pm.App,
-				func(m *shard.Map) {
-					mine = m.CloneInto(mine)
-					*cell = loop.Now()
-				},
-				func(d *shard.Delta) {
-					if err := mine.ApplyDelta(d); err != nil {
-						panic(err)
-					}
-					*cell = loop.Now()
-				})
-		} else {
-			disc.Subscribe(pm.App, func(*shard.Map) { *cell = loop.Now() })
-		}
+		var mine *shard.Map
+		disc.Subscribe(pm.App,
+			func(m *shard.Map) {
+				mine = m.CloneInto(mine)
+				*cell = loop.Now()
+			},
+			func(d *shard.Delta) {
+				if err := mine.ApplyDelta(d); err != nil {
+					panic(err)
+				}
+				*cell = loop.Now()
+			})
 	}
 
 	settle := func() {
@@ -311,8 +293,8 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 		}
 	}
 
-	// Bootstrap: the base full publication wave (both modes publish full
-	// snapshots here; deltas need a base).
+	// Bootstrap: the base publication wave (each partition's full map, the
+	// snapshot its deltas chain onto).
 	t0 := time.Now()
 	settle()
 	w.bootstrapWall = time.Since(t0)
@@ -345,13 +327,8 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 
 	st := aggregate(pubs)
 	w.changedEntries = st.ChangedEntries - base.ChangedEntries
-	if deltaMode {
-		w.publishes = st.DeltaPublishes - base.DeltaPublishes
-		w.bytes = st.DeltaBytes - base.DeltaBytes
-	} else {
-		w.publishes = st.FullPublishes - base.FullPublishes
-		w.bytes = st.FullBytes - base.FullBytes
-	}
+	w.publishes = st.Deltas - base.Deltas
+	w.bytes = st.DeltaBytes - base.DeltaBytes
 	return w
 }
 
@@ -359,9 +336,7 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 func aggregate(pubs []*controlplane.PartitionPublisher) controlplane.PublisherStats {
 	var st controlplane.PublisherStats
 	for _, p := range pubs {
-		st.FullPublishes += p.Stats.FullPublishes
-		st.DeltaPublishes += p.Stats.DeltaPublishes
-		st.FullBytes += p.Stats.FullBytes
+		st.Deltas += p.Stats.Deltas
 		st.DeltaBytes += p.Stats.DeltaBytes
 		st.ChangedEntries += p.Stats.ChangedEntries
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,9 +20,7 @@ import (
 // runDeltaEquivalenceWorld builds a small deployment, drives deterministic
 // client traffic through shard-map churn (a drain moves primaries mid-run),
 // and returns a rendering of every final routing Result in completion order.
-// The delta flag switches the publisher to orchestrator delta publishes and
-// the clients to in-place delta application; everything else is identical.
-func runDeltaEquivalenceWorld(t *testing.T, seed uint64, delta bool) []string {
+func runDeltaEquivalenceWorld(t *testing.T, seed uint64) []string {
 	t.Helper()
 	const shards = 24
 	cfg := orchestrator.Config{
@@ -38,7 +38,6 @@ func runDeltaEquivalenceWorld(t *testing.T, seed uint64, delta bool) []string {
 		GracefulMigration: true,
 		FailoverGrace:     10 * time.Second,
 		AllocInterval:     15 * time.Second,
-		DeltaPublish:      delta,
 	}
 	backing := apps.NewKVBacking()
 	d := Build(DeploymentSpec{
@@ -56,7 +55,6 @@ func runDeltaEquivalenceWorld(t *testing.T, seed uint64, delta bool) []string {
 
 	ks := KeyspaceFor(shards)
 	opts := routing.DefaultOptions()
-	opts.ApplyDeltas = delta
 	var results []string
 	record := func(region string) func(routing.Result) {
 		return func(r routing.Result) {
@@ -97,37 +95,38 @@ func runDeltaEquivalenceWorld(t *testing.T, seed uint64, delta bool) []string {
 	return results
 }
 
-// TestDeltaPublishRoutingOutcomesIdentical is the tentpole's equivalence
-// gate: with DeltaPublish + ApplyDeltas enabled, every final routing Result
-// (outcome, server, attempts, latency, map version, completion instant) is
-// byte-identical to the legacy full-publish run of the same seed — the delta
-// path changes publication cost, not behavior.
+// TestDeltaPublishRoutingOutcomesIdentical is the propagation-path
+// equivalence gate: every final routing Result (outcome, server, attempts,
+// latency, map version, completion instant) of seeds 3 and 11 is
+// byte-identical to the goldens recorded from the full-map-copy propagation
+// that preceded the delta chain — the delta chain changes publication cost,
+// not behavior.
 func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 	for _, seed := range []uint64{3, 11} {
-		full := runDeltaEquivalenceWorld(t, seed, false)
-		del := runDeltaEquivalenceWorld(t, seed, true)
-		if len(full) == 0 {
+		want, err := os.ReadFile(fmt.Sprintf("testdata/routing_outcomes_seed%d.golden", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := runDeltaEquivalenceWorld(t, seed)
+		if len(got) == 0 {
 			t.Fatalf("seed %d: no results recorded", seed)
 		}
-		if len(full) != len(del) {
-			t.Fatalf("seed %d: %d results (full) vs %d (delta)", seed, len(full), len(del))
+		wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+		if len(got) != len(wantLines) {
+			t.Fatalf("seed %d: %d results vs %d in the golden", seed, len(got), len(wantLines))
 		}
-		for i := range full {
-			if full[i] != del[i] {
-				t.Fatalf("seed %d: result %d differs:\nfull:  %s\ndelta: %s",
-					seed, i, full[i], del[i])
+		for i := range got {
+			if got[i] != wantLines[i] {
+				t.Fatalf("seed %d: result %d differs:\ngolden: %s\ngot:    %s",
+					seed, i, wantLines[i], got[i])
 			}
-		}
-		// The delta run must actually have exercised the delta path.
-		if full[0] == "" {
-			t.Fatal("unreachable")
 		}
 	}
 }
 
 // TestDeltaPublishActuallyPublishesDeltas guards against the equivalence test
-// passing vacuously: the delta-enabled world must route its map updates
-// through PublishDelta (discovery_delta_publishes_total > 0).
+// passing vacuously: after the bootstrap, the orchestrator's map updates must
+// travel as deltas (discovery_delta_publishes_total > 0).
 func TestDeltaPublishActuallyPublishesDeltas(t *testing.T) {
 	cfg := orchestrator.Config{
 		App:      "deltakv",
@@ -141,7 +140,6 @@ func TestDeltaPublishActuallyPublishesDeltas(t *testing.T) {
 			topology.ResourceCPU:        100,
 			topology.ResourceShardCount: 40,
 		},
-		DeltaPublish:  true,
 		AllocInterval: 15 * time.Second,
 	}
 	backing := apps.NewKVBacking()
@@ -167,6 +165,6 @@ func TestDeltaPublishActuallyPublishesDeltas(t *testing.T) {
 	d.Loop.RunFor(2 * time.Minute)
 	n := d.Health.Registry().Counter("discovery_delta_publishes_total", "app", "deltakv").Value()
 	if n == 0 {
-		t.Fatal("no delta publishes recorded; DeltaPublish not wired")
+		t.Fatal("no delta publishes recorded")
 	}
 }

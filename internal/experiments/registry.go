@@ -164,7 +164,7 @@ var registry = []runner{
 		}
 		return SimScale(p)
 	}},
-	{"controlscale", "partitioned control plane: full vs delta publish -> BENCH_controlplane.json", func(s Scale) *Report {
+	{"controlscale", "partitioned control plane: delta publish cost -> BENCH_controlplane.json", func(s Scale) *Report {
 		p := DefaultControlScaleParams()
 		if s == ScaleQuick {
 			p.Points = []ControlScalePoint{

@@ -40,17 +40,13 @@ type SimScalePoint struct {
 	PublishInterval  time.Duration
 
 	// FanoutBatch is the discovery fan-out batch size for this point
-	// (subscribers per delivery event). 0 or 1 keeps the legacy
-	// per-subscriber fan-out.
+	// (subscribers per delivery event). 0 or 1 gives every subscriber its
+	// own delivery event.
 	FanoutBatch int
-
-	// DeltaPublish switches the republication timer to incremental
-	// publishes: each tick stages ChurnPerPublish random single-replica
-	// reassignments and publishes them as a delta — O(changed) instead of
-	// the O(shards) full-map copy — and clients apply deltas in place.
-	DeltaPublish    bool
-	ChurnPerPublish int
 }
+
+// simScaleChurn is how many shards each simscale republication reassigns.
+const simScaleChurn = 256
 
 // SimScaleParams configure the simscale kernel benchmark.
 type SimScaleParams struct {
@@ -63,8 +59,9 @@ type SimScaleParams struct {
 	ClientInterval time.Duration
 	// LivenessInterval paces per-server heartbeat ticks.
 	LivenessInterval time.Duration
-	// PublishInterval paces shard-map republication (version bump + fan-out
-	// to every subscribed client).
+	// PublishInterval paces shard-map republication: each tick stages
+	// simScaleChurn random single-replica reassignments and publishes them
+	// as one delta fanned out to every subscribed client.
 	PublishInterval time.Duration
 	// MeasureTracerOverhead reruns the first point with a live tracer
 	// attached and records the throughput delta in BENCH_sim.json.
@@ -96,8 +93,6 @@ func DefaultSimScaleParams() SimScaleParams {
 				LivenessInterval: 10 * time.Minute,
 				PublishInterval:  4 * time.Hour,
 				FanoutBatch:      256,
-				DeltaPublish:     true,
-				ChurnPerPublish:  256,
 			},
 		},
 		SimTime:               10 * time.Minute,
@@ -109,13 +104,17 @@ func DefaultSimScaleParams() SimScaleParams {
 	}
 }
 
-// SimCostCenter is one profiler row in the BENCH_sim.json record.
+// SimCostCenter is one profiler row in the BENCH_sim.json record. Rows are
+// ranked by wall time.
 type SimCostCenter struct {
 	Component string  `json:"component"`
 	Kind      string  `json:"kind"`
 	Events    uint64  `json:"events"`
 	WallMS    float64 `json:"wall_ms"`
-	SharePct  float64 `json:"share_pct"`
+	// EventSharePct is the row's share of all dispatched events;
+	// WallSharePct its share of the run phase's wall time.
+	EventSharePct float64 `json:"event_share_pct"`
+	WallSharePct  float64 `json:"wall_share_pct"`
 }
 
 // SimScalePointRecord is one point's machine-readable result.
@@ -125,7 +124,6 @@ type SimScalePointRecord struct {
 	Servers        int             `json:"servers"`
 	SimTime        string          `json:"sim_time"`
 	FanoutBatch    int             `json:"fanout_batch"`
-	DeltaPublish   bool            `json:"delta_publish"`
 	Events         uint64          `json:"events"`
 	Requests       int             `json:"requests"`
 	MapDeliveries  int             `json:"map_deliveries"`
@@ -139,6 +137,7 @@ type SimScalePointRecord struct {
 
 // SimScaleRecord is the BENCH_sim.json payload (Report.Extra).
 type SimScaleRecord struct {
+	Machine Machine               `json:"machine"`
 	SimTime string                `json:"sim_time"`
 	Points  []SimScalePointRecord `json:"points"`
 	// TracedEventsPerSec / TracerOverheadPct record the first point rerun
@@ -165,7 +164,7 @@ func SimScale(p SimScaleParams) *Report {
 			"seed":            fmt.Sprintf("%d", p.Seed),
 		},
 	}
-	rec := &SimScaleRecord{SimTime: p.SimTime.String()}
+	rec := &SimScaleRecord{Machine: CurrentMachine(), SimTime: p.SimTime.String()}
 	table := Table{
 		Title:   "kernel throughput by scale",
 		Columns: []string{"shards", "clients", "servers", "sim time", "events", "wall ms", "events/sec", "allocs/ev", "queue max"},
@@ -212,8 +211,8 @@ func SimScale(p SimScaleParams) *Report {
 		last.Shards, last.SimTime, last.EventsPerSec, last.AllocsPerEvent, last.MaxHeapDepth)
 	if len(last.Top) > 0 {
 		t := last.Top[0]
-		rep.AddNote("top cost center at that point: %s/%s (%d events, %.1f%% of dispatches)",
-			t.Component, t.Kind, t.Events, t.SharePct)
+		rep.AddNote("top cost center at that point: %s/%s (%d events, %.1f%% of dispatches, %.1f%% of wall time)",
+			t.Component, t.Kind, t.Events, t.EventSharePct, t.WallSharePct)
 	}
 	rep.Extra = rec
 	return rep
@@ -274,14 +273,10 @@ func runSimScalePoint(p SimScaleParams, pt SimScalePoint, seed uint64) SimScaleP
 		})
 	}
 
-	// Shard map: every shard assigned to one server; republished with a
-	// version bump on a timer so discovery fans the map out to all
-	// subscribed clients. Republishes recycle map storage through a
-	// scratch-buffer ping-pong: PublishScratch clones into the caller's
-	// scratch and hands back the previous current map as the next scratch,
-	// so steady-state publishes allocate nothing. (They still *copy*
-	// O(shards) entries per publish — that residual cost is the baseline
-	// the ROADMAP's delta shard-map format is measured against.)
+	// Shard map: every shard assigned to one server, published once as the
+	// bootstrap. Each republication tick then stages simScaleChurn random
+	// single-replica reassignments and publishes them as one delta, so a
+	// publish costs O(changed), not O(shards).
 	const app = shard.AppID("simscale")
 	m := shard.NewMap(app)
 	m.Version = 1
@@ -294,42 +289,18 @@ func runSimScalePoint(p SimScaleParams, pt SimScalePoint, seed uint64) SimScaleP
 		}}
 	}
 	disc.Publish(m)
-	if pt.DeltaPublish {
-		// Delta republication: each tick stages ChurnPerPublish random
-		// single-replica reassignments (mirrored into the authoritative map)
-		// and publishes only those — O(changed) instead of the O(shards)
-		// copy above, which dominated this point's profile before deltas.
-		churn := pt.ChurnPerPublish
-		if churn < 1 {
-			churn = 1
+	version := m.Version
+	dlt := shard.NewDelta(app)
+	prng := loop.RNG().Fork()
+	loop.EveryL(publishInterval, lbSimPublish, func() {
+		dlt.Reset(app, version, version+1, 0)
+		for j := 0; j < simScaleChurn; j++ {
+			dlt.SetOne(ids[prng.Intn(pt.Shards)],
+				shard.ServerID(endpoints[prng.Intn(len(endpoints))]), shard.RolePrimary)
 		}
-		dlt := shard.NewDelta(app)
-		prng := loop.RNG().Fork()
-		loop.EveryL(publishInterval, lbSimPublish, func() {
-			dlt.Reset(app, m.Version, m.Version+1, 0)
-			for j := 0; j < churn; j++ {
-				id := ids[prng.Intn(pt.Shards)]
-				srv := shard.ServerID(endpoints[prng.Intn(len(endpoints))])
-				dlt.SetOne(id, srv, shard.RolePrimary)
-				m.Entries[id][0] = shard.Assignment{Server: srv, Role: shard.RolePrimary}
-			}
-			m.Version++
-			if next := disc.PublishDelta(dlt); next != nil {
-				dlt = next
-			}
-		})
-	} else {
-		// Full republication recycles map storage through a scratch-buffer
-		// ping-pong: PublishScratch clones into the caller's scratch and
-		// hands back the previous current map as the next scratch, so
-		// steady-state publishes allocate nothing — but still copy
-		// O(shards) entries each, the baseline the delta path replaces.
-		scratch := m.Clone() // seeds the ping-pong; first republish reuses it
-		loop.EveryL(publishInterval, lbSimPublish, func() {
-			m.Version++
-			scratch = disc.PublishScratch(m, scratch)
-		})
-	}
+		version++
+		dlt = disc.PublishDelta(dlt)
+	})
 
 	// One load report per shard, uniformly spread over the horizon. These
 	// are all scheduled up front, so the event queue starts at a depth
@@ -355,11 +326,7 @@ func runSimScalePoint(p SimScaleParams, pt SimScalePoint, seed uint64) SimScaleP
 	for c := 0; c < pt.Clients; c++ {
 		region := regions[c%len(regions)]
 		crng := loop.RNG().Fork()
-		if pt.DeltaPublish {
-			disc.SubscribeDelta(app, onMap, onDelta)
-		} else {
-			disc.Subscribe(app, onMap)
-		}
+		disc.Subscribe(app, onMap, onDelta)
 		var step func()
 		step = func() {
 			target := endpoints[crng.Intn(len(endpoints))]
@@ -391,7 +358,6 @@ func runSimScalePoint(p SimScaleParams, pt SimScalePoint, seed uint64) SimScaleP
 		Servers:       pt.Servers,
 		SimTime:       simTime.String(),
 		FanoutBatch:   fanoutBatch,
-		DeltaPublish:  pt.DeltaPublish,
 		Events:        events,
 		Requests:      served + failed,
 		MapDeliveries: mapsApplied,
@@ -406,17 +372,19 @@ func runSimScalePoint(p SimScaleParams, pt SimScalePoint, seed uint64) SimScaleP
 		r.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(events)
 	}
 	for _, row := range prof.Top(5) {
-		share := 0.0
-		if events > 0 {
-			share = 100 * float64(row.Fired) / float64(events)
-		}
-		r.Top = append(r.Top, SimCostCenter{
+		cc := SimCostCenter{
 			Component: row.Component,
 			Kind:      row.Kind,
 			Events:    row.Fired,
 			WallMS:    float64(row.WallNS) / 1e6,
-			SharePct:  share,
-		})
+		}
+		if events > 0 {
+			cc.EventSharePct = 100 * float64(row.Fired) / float64(events)
+		}
+		if wall > 0 {
+			cc.WallSharePct = 100 * float64(row.WallNS) / float64(wall)
+		}
+		r.Top = append(r.Top, cc)
 	}
 	return r
 }

@@ -99,13 +99,17 @@ type FoundBug struct {
 // TortureArtifacts is the sweep's machine-readable record (Report.Extra);
 // smbench writes it to the found-bug log.
 type TortureArtifacts struct {
-	Seeds      int        `json:"seeds"`
-	StartSeed  uint64     `json:"start_seed"`
-	Checks     int64      `json:"checks"`
-	Violations int64      `json:"violations"`
-	SeedsHit   int        `json:"seeds_with_violations"`
-	Panics     int        `json:"panics"`
-	Bugs       []FoundBug `json:"bugs"`
+	Seeds      int    `json:"seeds"`
+	StartSeed  uint64 `json:"start_seed"`
+	Checks     int64  `json:"checks"`
+	Violations int64  `json:"violations"`
+	SeedsHit   int    `json:"seeds_with_violations"`
+	Panics     int    `json:"panics"`
+	// Deliveries counts shard-map deliveries to the torture clients by
+	// outcome status ("delivered", "stale", "cancelled", "resync"), so the
+	// log shows the sweep exercised every branch of the delta chain.
+	Deliveries map[string]int64 `json:"deliveries"`
+	Bugs       []FoundBug       `json:"bugs"`
 }
 
 // TortureRun is one completed torture seed, kept whole so callers (smctl
@@ -120,6 +124,8 @@ type TortureRun struct {
 	// Panic is the recovered panic message when the world crashed outright
 	// (also recorded in Bugs under InvPanic); empty on a clean run.
 	Panic string
+	// Deliveries counts shard-map deliveries by outcome status.
+	Deliveries map[string]int64
 }
 
 // tortureRegions is the fixed region set of every torture world.
@@ -220,7 +226,10 @@ func RunTortureSeed(p TortureParams, seed uint64) *TortureRun {
 		Audit: &audit.Options{},
 		Seed:  seed,
 	})
-	run := &TortureRun{Seed: seed, Deployment: d, Auditor: d.Auditor}
+	run := &TortureRun{Seed: seed, Deployment: d, Auditor: d.Auditor, Deliveries: map[string]int64{}}
+	d.Disc.AddObserver(func(_ shard.AppID, _ int64, _ time.Duration, status string) {
+		run.Deliveries[status]++
+	})
 	// The whole scripted run executes under a recover so a world that
 	// crashes outright (an orchestrator sanity panic, say) becomes a pinned
 	// finding instead of killing the sweep. The sim is single-threaded, so
@@ -331,7 +340,7 @@ func Torture(p TortureParams) *Report {
 			"events":     fmt.Sprint(p.Events),
 		},
 	}
-	art := &TortureArtifacts{Seeds: p.Seeds, StartSeed: p.StartSeed}
+	art := &TortureArtifacts{Seeds: p.Seeds, StartSeed: p.StartSeed, Deliveries: map[string]int64{}}
 	for i := 0; i < p.Seeds; i++ {
 		seed := p.StartSeed + uint64(i)
 		run := RunTortureSeed(p, seed)
@@ -339,6 +348,9 @@ func Torture(p TortureParams) *Report {
 			art.Checks += n
 		}
 		art.Violations += run.Auditor.ViolationCount()
+		for status, n := range run.Deliveries {
+			art.Deliveries[status] += n
+		}
 		if run.Panic != "" {
 			art.Panics++
 		}
@@ -356,6 +368,8 @@ func Torture(p TortureParams) *Report {
 	r.AddValue("bugs_found", float64(len(art.Bugs)))
 	r.AddNote("swept %d seeds (%d..%d): %d invariant checks, %d violations on %d seeds",
 		p.Seeds, p.StartSeed, p.StartSeed+uint64(p.Seeds)-1, art.Checks, art.Violations, art.SeedsHit)
+	r.AddNote("map deliveries: %d delivered, %d resync, %d stale, %d cancelled",
+		art.Deliveries["delivered"], art.Deliveries["resync"], art.Deliveries["stale"], art.Deliveries["cancelled"])
 	for i, b := range art.Bugs {
 		if i >= p.MaxBugNotes {
 			r.AddNote("... %d more findings in the found-bug log", len(art.Bugs)-i)

@@ -11,7 +11,7 @@
 // synchronously inside existing events, so attaching a Monitor never
 // perturbs a seeded run. In particular the Monitor must NOT subscribe to
 // discovery (each subscriber draws propagation delays from the shared RNG);
-// it uses discovery.SetObserver instead.
+// it uses discovery.AddObserver instead.
 package healthmon
 
 import (

@@ -107,14 +107,6 @@ type Config struct {
 	// retried until acknowledged: an unacknowledged orphan is a live
 	// primary the control plane no longer knows about.
 	OrphanRetry time.Duration
-	// DeltaPublish switches publication to the incremental path after the
-	// first full snapshot: the orchestrator retains its last published map,
-	// diffs each new build against it, and hands discovery an O(changed
-	// entries) delta instead of an O(shards) snapshot to clone and fan out.
-	// Off by default (the legacy full-publish path, byte-identical to prior
-	// behavior). Routing clients must set Options.ApplyDeltas when this is
-	// on, because delta publishes mutate the discovery-side map in place.
-	DeltaPublish bool
 }
 
 func (c *Config) fillDefaults() {
@@ -223,11 +215,6 @@ type Orchestrator struct {
 	shards  map[shard.ID]*shardState
 	order   []shard.ID // deterministic shard iteration
 	version int64
-	// lastPub is the previously published map, retained only in
-	// DeltaPublish mode as the diff base; deltaScratch is the ping-ponged
-	// delta buffer recycled through discovery.PublishDelta.
-	lastPub      *shard.Map
-	deltaScratch *shard.Delta
 
 	migrationQueue []migration
 	inFlight       int
@@ -296,13 +283,8 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 	return o
 }
 
-// SetHooks installs the observer hooks, replacing any previously attached
-// set (zero value clears them).
-func (o *Orchestrator) SetHooks(h Hooks) { o.hooks = []Hooks{h} }
-
-// AddHooks attaches an additional set of observer hooks without disturbing
-// ones already installed; all attached hooks fire in attachment order. The
-// runtime auditor uses this to coexist with healthmon.
+// AddHooks attaches a set of observer hooks; all attached hooks fire in
+// attachment order.
 func (o *Orchestrator) AddHooks(h Hooks) { o.hooks = append(o.hooks, h) }
 
 // App returns the managed application ID.
@@ -1348,7 +1330,9 @@ func (o *Orchestrator) sanitizeSlots(ss *shardState) {
 }
 
 // buildMap assembles the shard map (and per-server assignment index) from
-// the current slots, stamped with the given version and a fresh epoch.
+// the current slots, stamped with the given version and a fresh epoch. Each
+// list is allocated at its exact length: discovery keeps the lists of the
+// entries that changed, so they stay live for as long as those entries do.
 func (o *Orchestrator) buildMap(version int64) (*shard.Map, map[shard.ServerID]map[shard.ID]shard.Role) {
 	m := shard.NewMap(o.cfg.App)
 	m.Version = version
@@ -1356,7 +1340,16 @@ func (o *Orchestrator) buildMap(version int64) (*shard.Map, map[shard.ServerID]m
 	perServer := make(map[shard.ServerID]map[shard.ID]shard.Role)
 	for _, id := range o.order {
 		ss := o.shards[id]
-		var as []shard.Assignment
+		n := 0
+		for _, slot := range ss.slots {
+			if slot.server != "" {
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		as := make([]shard.Assignment, 0, n)
 		for _, slot := range ss.slots {
 			if slot.server == "" {
 				continue
@@ -1367,9 +1360,7 @@ func (o *Orchestrator) buildMap(version int64) (*shard.Map, map[shard.ServerID]m
 			}
 			perServer[slot.server][id] = slot.role
 		}
-		if len(as) > 0 {
-			m.Entries[id] = as
-		}
+		m.Entries[id] = as
 	}
 	return m, perServer
 }
@@ -1408,23 +1399,9 @@ func (o *Orchestrator) publish() {
 			h.MapSnapshot(m)
 		}
 	}
-	if o.cfg.DeltaPublish && o.lastPub != nil {
-		d := m.Diff(o.lastPub, o.deltaScratch)
-		o.deltaScratch = o.disc.PublishDelta(d)
-		if v, _, ok := o.disc.CurrentMeta(o.cfg.App); !ok || v != m.Version {
-			// The delta could not chain onto discovery's current map (it was
-			// dropped as a gap); resync with a full snapshot.
-			o.disc.Publish(m)
-		}
-		o.lastPub = m
-	} else {
-		o.disc.Publish(m)
-		if o.cfg.DeltaPublish {
-			// First publication: discovery cloned m, so the freshly built map
-			// is ours to retain as the next diff base.
-			o.lastPub = m
-		}
-	}
+	// Discovery diffs the fresh map against its own current one and fans
+	// out only the delta; the orchestrator keeps no copy.
+	o.disc.Publish(m)
 
 	// Persist assignments for server start-up reads (§3.2). Servers with
 	// no shards get their node cleared.

@@ -43,13 +43,6 @@ type Options struct {
 	// many clients decorrelate instead of stampeding in lockstep after a
 	// partition heals. Set negative to disable jitter entirely.
 	RetryJitter float64
-	// ApplyDeltas subscribes the client through the incremental path: the
-	// client owns a private map, cloning full snapshots into it and applying
-	// deltas in place (O(changed entries) per update instead of retaining
-	// O(shards) snapshots). Required when the publisher uses delta publishes
-	// (which mutate the discovery-side map in place); routing outcomes are
-	// identical either way.
-	ApplyDeltas bool
 }
 
 // DefaultOptions returns sensible client settings.
@@ -101,12 +94,10 @@ type Client struct {
 	rng      *sim.RNG
 	retryRNG *sim.RNG
 
+	// current is the client's own map table: snapshots are copied into it
+	// and deltas applied to it in place (the lists are shared and
+	// immutable).
 	current *shard.Map
-	// owned is the client-private map buffer used in ApplyDeltas mode:
-	// full snapshots are cloned into it and deltas applied in place, so the
-	// client never retains a service-owned map that a later delta publish
-	// would mutate underneath it.
-	owned *shard.Map
 
 	// MapUpdates counts received shard-map versions.
 	MapUpdates int64
@@ -149,72 +140,41 @@ func NewClient(loop *sim.Loop, net *rpcnet.Network, dir *appserver.Directory,
 	// jitter from c.rng directly would shift the read tie-break sequence
 	// whenever a request happens to retry.
 	c.retryRNG = c.rng.Fork()
-	if opts.ApplyDeltas {
-		// SubscribeDelta's RNG accounting matches Subscribe exactly, so the
-		// mode flag cannot shift any other subscriber's delay stream.
-		disc.SubscribeDelta(app, c.onFullSnapshot, c.onDelta)
-	} else {
-		disc.Subscribe(app, func(m *shard.Map) {
-			// An on-demand refresh may already have installed a newer map than
-			// this delivery carries; never regress.
-			if !newerMap(m, c.current) {
-				return
-			}
-			c.current = m
-			c.MapUpdates++
-		})
-	}
+	disc.Subscribe(app, c.installMap, c.applyDelta)
 	return c
 }
 
-// onFullSnapshot installs a delivered full snapshot in ApplyDeltas mode by
-// cloning it into the client-owned buffer (the delivered map is
-// service-owned there and must not be retained).
-func (c *Client) onFullSnapshot(m *shard.Map) {
-	if !newerMap(m, c.current) {
+// installMap copies a delivered snapshot (the start-up catch-up or a
+// resync) into the client's table. An on-demand refresh may already have
+// installed a newer map than this delivery carries; never regress.
+func (c *Client) installMap(m *shard.Map) {
+	if !newer(m.Version, m.Gen, c.current) {
 		return
 	}
-	c.owned = m.CloneInto(c.owned)
-	c.current = c.owned
+	c.current = m.CloneInto(c.current)
 	c.MapUpdates++
 }
 
-// onDelta chains one in-order delta onto the client's private map. An
-// on-demand refresh may have moved the client past the delta's base version;
-// a delta that can no longer chain falls back to a full refresh from the
-// authoritative current map.
-func (c *Client) onDelta(d *shard.Delta) {
+// applyDelta chains one in-order delta onto the client's map. An on-demand
+// refresh may have moved the client past the delta's base version; a delta
+// that can no longer chain falls back to a refresh from the authoritative
+// current map.
+func (c *Client) applyDelta(d *shard.Delta) {
 	cur := c.current
 	if cur == nil || cur.Version >= d.ToVersion {
 		return
 	}
-	if cur.Version == d.FromVersion {
-		if err := cur.ApplyDelta(d); err == nil {
-			c.MapUpdates++
-			return
-		}
+	if cur.Version == d.FromVersion && cur.ApplyDelta(d) == nil {
+		c.MapUpdates++
+		return
 	}
 	c.refreshMap()
 }
 
-// newerMap reports whether m supersedes cur: by fencing generation when both
-// maps carry one (the total order shared with sessions and grants), by
-// version otherwise.
-func newerMap(m, cur *shard.Map) bool {
-	if m == nil {
-		return false
-	}
-	if cur == nil {
-		return true
-	}
-	if m.Gen > 0 && cur.Gen > 0 {
-		return m.Gen > cur.Gen
-	}
-	return m.Version > cur.Version
-}
-
-// newerMeta is newerMap for a (version, gen) pair read without cloning.
-func newerMeta(version, gen int64, cur *shard.Map) bool {
+// newer reports whether a map at (version, gen) supersedes cur: by fencing
+// generation when both maps carry one (the total order shared with sessions
+// and grants), by version otherwise.
+func newer(version, gen int64, cur *shard.Map) bool {
 	if cur == nil {
 		return true
 	}
@@ -230,25 +190,12 @@ func newerMeta(version, gen int64, cur *shard.Map) bool {
 // "not-owner", "not-primary"): the map that fixes the routing already exists,
 // so fetching it now closes the staleness window instead of retrying blind.
 func (c *Client) refreshMap() {
-	if c.opts.ApplyDeltas {
-		// Peek at the version first so a no-op refresh costs no copy, then
-		// clone into the client-owned buffer instead of allocating a map.
-		v, g, ok := c.disc.CurrentMeta(c.App)
-		if !ok || !newerMeta(v, g, c.current) {
-			return
-		}
-		c.owned = c.disc.CurrentInto(c.App, c.owned)
-		c.current = c.owned
-		c.MapUpdates++
-		c.loop.Metrics().Counter("routing_map_refreshes_total",
-			"app", string(c.App)).Inc()
+	// Peek at the version first so a no-op refresh costs no copy.
+	v, g, ok := c.disc.CurrentMeta(c.App)
+	if !ok || !newer(v, g, c.current) {
 		return
 	}
-	m := c.disc.Current(c.App)
-	if !newerMap(m, c.current) {
-		return
-	}
-	c.current = m
+	c.current = c.disc.CurrentInto(c.App, c.current)
 	c.MapUpdates++
 	c.loop.Metrics().Counter("routing_map_refreshes_total",
 		"app", string(c.App)).Inc()

@@ -1,8 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DeltaEntry is one changed shard in a Delta: the shard's complete new
@@ -21,10 +22,11 @@ type DeltaEntry struct {
 // makes frequent republication affordable at millions of shards
 // (ROADMAP item 2).
 //
-// A Delta is a reusable buffer: Reset rewinds it in place, and staging
-// methods (Set, SetOne, Remove) recycle the Changed backing array and each
-// entry's Assignments slice, so a publisher that ping-pongs two deltas
-// allocates nothing at steady state.
+// A Delta is a reusable buffer: Reset rewinds it in place and keeps the
+// Changed and Removed backing arrays. The assignment lists it carries follow
+// the Map rule — immutable once staged — so staging (Set, SetOne) allocates
+// exactly one fresh list per changed entry, and Diff and ApplyDelta hand
+// lists over without copying.
 type Delta struct {
 	App AppID
 	// FromVersion is the map version this delta applies on top of;
@@ -47,9 +49,10 @@ func NewDelta(app AppID) *Delta { return &Delta{App: app} }
 
 // Reset rewinds the delta in place for reuse, keeping the backing arrays:
 // version bounds and generation are restamped, Changed and Removed empty.
-// Returns d.
+// The lists the delta carried are released, not recycled. Returns d.
 func (d *Delta) Reset(app AppID, from, to, gen int64) *Delta {
 	d.App, d.FromVersion, d.ToVersion, d.Gen = app, from, to, gen
+	clear(d.Changed)
 	d.Changed = d.Changed[:0]
 	d.Removed = d.Removed[:0]
 	return d
@@ -58,47 +61,32 @@ func (d *Delta) Reset(app AppID, from, to, gen int64) *Delta {
 // Len returns the number of edits (changed + removed entries).
 func (d *Delta) Len() int { return len(d.Changed) + len(d.Removed) }
 
-// entry appends one (possibly recycled) changed entry and returns it.
-func (d *Delta) entry(s ID) *DeltaEntry {
-	if len(d.Changed) < cap(d.Changed) {
-		d.Changed = d.Changed[:len(d.Changed)+1]
-	} else {
-		d.Changed = append(d.Changed, DeltaEntry{})
-	}
-	e := &d.Changed[len(d.Changed)-1]
-	e.Shard = s
-	return e
+// put appends one changed entry carrying the list as, which it adopts.
+func (d *Delta) put(s ID, as []Assignment) {
+	d.Changed = append(d.Changed, DeltaEntry{Shard: s, Assignments: as})
 }
 
-// Set stages shard s's new assignment list, copying as into recycled
-// storage (the caller may keep mutating its slice). Staging the same shard
-// twice records it twice; the last entry wins on apply, but publishers
-// should coalesce (stage each shard at most once per delta) to keep deltas
-// minimal.
+// Set stages shard s's new assignment list as a fresh copy of as (the
+// caller may keep mutating its slice). Staging the same shard twice records
+// it twice; the last entry wins on apply, but publishers should coalesce
+// (stage each shard at most once per delta) to keep deltas minimal.
 func (d *Delta) Set(s ID, as []Assignment) {
-	e := d.entry(s)
-	e.Assignments = append(e.Assignments[:0], as...)
+	d.put(s, append(make([]Assignment, 0, len(as)), as...))
 }
 
-// SetOne stages shard s as a single-replica assignment — the hot path for
-// primary-only churn, with no intermediate slice.
+// SetOne stages shard s as a fresh single-replica assignment — the hot path
+// for primary-only churn, with no intermediate slice.
 func (d *Delta) SetOne(s ID, server ServerID, role Role) {
-	e := d.entry(s)
-	if cap(e.Assignments) < 1 {
-		e.Assignments = make([]Assignment, 1, 4)
-	} else {
-		e.Assignments = e.Assignments[:1]
-	}
-	e.Assignments[0] = Assignment{Server: server, Role: role}
+	d.put(s, []Assignment{{Server: server, Role: role}})
 }
 
 // Remove stages shard s for removal from the map.
 func (d *Delta) Remove(s ID) { d.Removed = append(d.Removed, s) }
 
 // ApproxBytes estimates the delta's wire size: shard/server ID bytes plus a
-// small fixed per-record overhead. The full-vs-delta bytes-per-publish
-// comparison in BENCH_controlplane.json uses the same accounting for both
-// sides, so the ratio is meaningful even though neither is a real codec.
+// small fixed per-record overhead. Map.ApproxBytes uses the same accounting,
+// so delta and full-map sizes compare meaningfully even though neither is a
+// real codec.
 func (d *Delta) ApproxBytes() int64 {
 	n := int64(32) // header: app/version bounds/gen
 	for i := range d.Changed {
@@ -143,7 +131,7 @@ func assignmentsEqual(a, b []Assignment) bool {
 }
 
 // Diff computes the delta that turns prev into m, reusing scratch's storage
-// when non-nil. Entries are emitted in sorted shard order so the result is
+// when non-nil. Changed entries carry m's own lists. Entries are emitted in sorted shard order so the result is
 // deterministic regardless of map iteration order. Cost is O(|m| + |prev|)
 // plus a sort of the changed set — publishers that already know their churn
 // set should stage a Delta directly instead and skip the scan.
@@ -158,7 +146,7 @@ func (m *Map) Diff(prev *Map, scratch *Delta) *Delta {
 	d.Reset(m.App, prev.Version, m.Version, m.Gen)
 	for s, as := range m.Entries {
 		if pas, ok := prev.Entries[s]; !ok || !assignmentsEqual(as, pas) {
-			d.Set(s, as)
+			d.put(s, as)
 		}
 	}
 	for s := range prev.Entries {
@@ -166,14 +154,14 @@ func (m *Map) Diff(prev *Map, scratch *Delta) *Delta {
 			d.Remove(s)
 		}
 	}
-	sort.Slice(d.Changed, func(i, j int) bool { return d.Changed[i].Shard < d.Changed[j].Shard })
-	sort.Slice(d.Removed, func(i, j int) bool { return d.Removed[i] < d.Removed[j] })
+	slices.SortFunc(d.Changed, func(a, b DeltaEntry) int { return cmp.Compare(a.Shard, b.Shard) })
+	slices.Sort(d.Removed)
 	return d
 }
 
-// ApplyDelta applies d to m in place, advancing it from d.FromVersion to
-// d.ToVersion. Per-shard assignment slices are recycled, so applying a
-// steady-state delta (same shards churning) allocates nothing. It is the
+// ApplyDelta applies d to m's table in place, advancing it from
+// d.FromVersion to d.ToVersion. m adopts the delta's lists, so applying a
+// delta that changes only existing shards allocates nothing. It is the
 // consumer-side counterpart of Diff: for any maps A, B with the same App,
 // A.Clone() + ApplyDelta(B.Diff(A)) is deep-equal to B.
 //
@@ -189,7 +177,7 @@ func (m *Map) ApplyDelta(d *Delta) error {
 	}
 	for i := range d.Changed {
 		e := &d.Changed[i]
-		m.Entries[e.Shard] = append(m.Entries[e.Shard][:0], e.Assignments...)
+		m.Entries[e.Shard] = e.Assignments
 	}
 	for _, s := range d.Removed {
 		delete(m.Entries, s)

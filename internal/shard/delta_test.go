@@ -84,6 +84,48 @@ func TestDeltaSetCopiesAssignments(t *testing.T) {
 	}
 }
 
+// TestPublishedListsNeverMutated pins the immutable-list rule end to end:
+// once a list has travelled through Diff or staging into a map, neither
+// restaging the delta buffer nor applying later deltas rewrites it, so every
+// holder of an older map keeps seeing exactly what was published.
+func TestPublishedListsNeverMutated(t *testing.T) {
+	pub := NewMap("app")
+	pub.Version = 1
+	pub.Entries["s0"] = []Assignment{{Server: "a", Role: RolePrimary}}
+	pub.Entries["s1"] = []Assignment{{Server: "b", Role: RolePrimary}}
+	follower := pub.Clone()
+	old := follower.Clone() // an older holder sharing every list
+
+	d := NewDelta("app").Reset("app", 1, 2, 0)
+	d.SetOne("s0", "c", RolePrimary)
+	if err := follower.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	staged := follower.Entries["s0"]
+	// Restage the same buffer for the next version.
+	d.Reset("app", 2, 3, 0)
+	d.SetOne("s0", "d", RolePrimary)
+	d.Set("s1", []Assignment{{Server: "e", Role: RolePrimary}})
+	if staged[0].Server != "c" {
+		t.Fatalf("restaging rewrote a published list: %v", staged)
+	}
+	if err := follower.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	if staged[0].Server != "c" || old.Entries["s0"][0].Server != "a" || old.Entries["s1"][0].Server != "b" {
+		t.Fatalf("applying a delta rewrote a shared list: staged=%v old=%v", staged, old.Entries)
+	}
+
+	// Diff hands the new map's lists over rather than copying them.
+	next := follower.Clone()
+	next.Version = 4
+	next.Entries["s1"] = []Assignment{{Server: "f", Role: RolePrimary}}
+	dd := next.Diff(follower, nil)
+	if len(dd.Changed) != 1 || &dd.Changed[0].Assignments[0] != &next.Entries["s1"][0] {
+		t.Fatalf("Diff copied a list: %+v", dd.Changed)
+	}
+}
+
 // TestDeltaApplyEquivalenceRandomChurn is the acceptance property test:
 // across randomized churn scripts, a follower that applies every delta in
 // order stays deep-equal to the publisher's full map.
@@ -140,9 +182,9 @@ func TestDeltaApplyEquivalenceRandomChurn(t *testing.T) {
 	}
 }
 
-// TestDeltaStagingSteadyStateAllocs pins the pooled-buffer contract: once a
-// delta buffer and the target map have warmed up, staging and applying a
-// same-shape delta allocates nothing.
+// TestDeltaStagingSteadyStateAllocs pins the staging cost: once the delta
+// buffer and the target map have warmed up, staging and applying a delta
+// allocates exactly one list per changed entry and nothing else.
 func TestDeltaStagingSteadyStateAllocs(t *testing.T) {
 	const n = 64
 	m := NewMap("app")
@@ -153,7 +195,7 @@ func TestDeltaStagingSteadyStateAllocs(t *testing.T) {
 		m.Entries[ids[i]] = []Assignment{{Server: "a", Role: RolePrimary}}
 	}
 	d := NewDelta("app")
-	// Warm up both buffers once.
+	// Warm up the delta buffer once.
 	d.Reset("app", 1, 2, 0)
 	for _, s := range ids {
 		d.SetOne(s, "b", RolePrimary)
@@ -172,8 +214,8 @@ func TestDeltaStagingSteadyStateAllocs(t *testing.T) {
 		}
 		version++
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state delta stage+apply allocates %.1f/run, want 0", allocs)
+	if allocs != n {
+		t.Fatalf("steady-state delta stage+apply allocates %.1f/run, want %d (one list per changed entry)", allocs, n)
 	}
 }
 

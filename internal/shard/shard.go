@@ -11,6 +11,7 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -85,6 +86,11 @@ type Assignment struct {
 // discovery system disseminates maps to clients with a delay, so clients may
 // briefly act on stale versions (which is exactly what the graceful
 // migration protocol of §4.3 must tolerate).
+//
+// Assignment lists are immutable once published: every holder of a map —
+// the discovery service, each subscriber, the deltas in flight between
+// them — shares the same lists, so a list is replaced wholesale, never
+// edited in place. Each holder owns only its Entries table.
 type Map struct {
 	App     AppID
 	Version int64
@@ -103,21 +109,16 @@ func NewMap(app AppID) *Map {
 	return &Map{App: app, Entries: make(map[ID][]Assignment)}
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy of the map's table. The assignment lists are shared,
+// not copied: they are immutable once published.
 func (m *Map) Clone() *Map {
-	out := &Map{App: m.App, Version: m.Version, Gen: m.Gen, Entries: make(map[ID][]Assignment, len(m.Entries))}
-	for s, as := range m.Entries {
-		out.Entries[s] = append([]Assignment(nil), as...)
-	}
-	return out
+	return &Map{App: m.App, Version: m.Version, Gen: m.Gen, Entries: maps.Clone(m.Entries)}
 }
 
-// CloneInto deep-copies m into dst, reusing dst's entry map and per-shard
-// assignment slices instead of allocating fresh ones. At steady state —
-// same shard set publish over publish — a clone into a previously used
-// buffer allocates nothing, which is what makes periodic full-map
-// republishes affordable at large shard counts. A nil dst behaves like
-// Clone. Returns dst.
+// CloneInto copies m's table into dst, reusing dst's storage, so a
+// subscriber that resyncs into the table it already owns allocates nothing
+// at steady state (same shard set). Lists are shared as in Clone. A nil dst
+// behaves like Clone. Returns dst.
 func (m *Map) CloneInto(dst *Map) *Map {
 	if dst == nil {
 		return m.Clone()
@@ -126,14 +127,10 @@ func (m *Map) CloneInto(dst *Map) *Map {
 	if dst.Entries == nil {
 		dst.Entries = make(map[ID][]Assignment, len(m.Entries))
 	} else {
-		for s := range dst.Entries {
-			if _, ok := m.Entries[s]; !ok {
-				delete(dst.Entries, s)
-			}
-		}
+		clear(dst.Entries)
 	}
 	for s, as := range m.Entries {
-		dst.Entries[s] = append(dst.Entries[s][:0], as...)
+		dst.Entries[s] = as
 	}
 	return dst
 }

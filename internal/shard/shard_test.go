@@ -36,14 +36,19 @@ func TestMapPrimaryAndReplicas(t *testing.T) {
 	}
 }
 
-func TestMapCloneIsDeep(t *testing.T) {
+// TestMapCloneSharesLists pins the ownership contract: a clone owns its
+// table but shares the (immutable) assignment lists.
+func TestMapCloneSharesLists(t *testing.T) {
 	m := NewMap("app")
 	m.Entries["s1"] = []Assignment{{Server: "a", Role: RolePrimary}}
 	c := m.Clone()
-	c.Entries["s1"][0].Server = "x"
+	if &c.Entries["s1"][0] != &m.Entries["s1"][0] {
+		t.Fatal("Clone copied an assignment list")
+	}
+	c.Entries["s1"] = []Assignment{{Server: "x"}}
 	c.Entries["s2"] = []Assignment{{Server: "y"}}
 	if m.Entries["s1"][0].Server != "a" || len(m.Entries) != 1 {
-		t.Fatal("Clone shares state")
+		t.Fatal("Clone shares the table")
 	}
 }
 
@@ -241,17 +246,19 @@ func TestFormatAssignments(t *testing.T) {
 	}
 }
 
-func TestMapCloneIntoReusesStorage(t *testing.T) {
+// TestMapCloneIntoReusesTable: CloneInto rewrites dst's table in place —
+// header copied, stale keys gone, lists shared with the source — and a nil
+// dst falls back to Clone.
+func TestMapCloneIntoReusesTable(t *testing.T) {
 	m := NewMap("app")
 	m.Version, m.Gen = 7, 3
 	m.Entries["s1"] = []Assignment{{Server: "a", Role: RolePrimary}}
 	m.Entries["s2"] = []Assignment{{Server: "b", Role: RolePrimary}, {Server: "c", Role: RoleSecondary}}
 
 	dst := NewMap("other")
+	table := dst.Entries
 	dst.Entries["stale"] = []Assignment{{Server: "z"}}
-	s2buf := make([]Assignment, 1, 4)
-	s2buf[0] = Assignment{Server: "old"}
-	dst.Entries["s2"] = s2buf
+	dst.Entries["s2"] = []Assignment{{Server: "old"}}
 
 	got := m.CloneInto(dst)
 	if got != dst {
@@ -263,22 +270,18 @@ func TestMapCloneIntoReusesStorage(t *testing.T) {
 	if _, ok := dst.Entries["stale"]; ok {
 		t.Fatal("stale key survived CloneInto")
 	}
-	if len(dst.Entries) != 2 || len(dst.Entries["s2"]) != 2 {
-		t.Fatalf("entries not copied: %+v", dst.Entries)
+	if len(dst.Entries) != 2 || &dst.Entries["s2"][0] != &m.Entries["s2"][0] {
+		t.Fatalf("entries not shared: %+v", dst.Entries)
 	}
-	// The pre-existing slice storage must be reused, not reallocated.
-	if &dst.Entries["s2"][0] != &s2buf[:1][0] {
-		t.Fatal("CloneInto reallocated a reusable assignment slice")
+	table["probe"] = nil
+	if _, ok := dst.Entries["probe"]; !ok {
+		t.Fatal("CloneInto replaced dst's table instead of reusing it")
 	}
-	// And the copy must be deep: mutating dst must not touch m.
-	dst.Entries["s1"][0].Server = "mut"
-	if m.Entries["s1"][0].Server != "a" {
-		t.Fatal("CloneInto shares state with the source")
+	if _, ok := m.Entries["probe"]; ok {
+		t.Fatal("CloneInto shares the source's table")
 	}
-	// nil dst falls back to a fresh deep clone.
-	c := m.CloneInto(nil)
-	if c == nil || len(c.Entries) != 2 || &c.Entries["s2"][0] == &m.Entries["s2"][0] {
-		t.Fatal("CloneInto(nil) did not deep-clone")
+	if c := m.CloneInto(nil); c == nil || len(c.Entries) != 2 {
+		t.Fatal("CloneInto(nil) did not clone")
 	}
 }
 

@@ -26,6 +26,8 @@ echo "== go test -race ./internal/controlplane/..."
 go test -race ./internal/controlplane/...
 echo "== go test ./internal/experiments"
 go test ./internal/experiments
+echo "== stackbench tiny-scale tests (its own module, built as stackbench/run.sh builds it)"
+(cd stackbench && GOFLAGS=-mod=mod GOPROXY=off go test ./...)
 echo "== audit torture smoke (12 seeds, must be violation-free)"
 go run ./cmd/smbench -fig torture -torture-seeds 12 -foundbugs-out "" -fail-on-bugs
 echo "== solver benchmark smoke (-benchtime=1x)"
